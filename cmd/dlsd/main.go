@@ -72,7 +72,7 @@ func run(args []string) error {
 		addr        = fs.String("addr", ":8080", "listen address")
 		window      = fs.Duration("window", 2*time.Millisecond, "admission window; 0 disables micro-batching")
 		windowSize  = fs.Int("window-size", 64, "flush a window early at this many requests")
-		queueCap    = fs.Int("queue", 1024, "admission queue bound; requests beyond it are shed with 429")
+		queueCap    = fs.Int("queue", 1024, "bound on admitted, not yet answered requests (with -window 0: on concurrent solves); requests beyond it are shed with 429")
 		workers     = fs.Int("workers", 2, "windows solved concurrently")
 		retryAfter  = fs.Duration("retry-after", 50*time.Millisecond, "advisory Retry-After on 429")
 		cacheSize   = fs.Int("cache", 4096, "LRU result-cache capacity; 0 disables caching")

@@ -146,9 +146,9 @@ func (cfg AdaptiveConfig) withDefaults() AdaptiveConfig {
 }
 
 // adaptive is the controller state behind AdaptiveConfig. The window
-// decisions (delay, size) are made on the collector goroutine (or the
-// synchronous driver); the observations arrive from drain workers and
-// Stats readers, so everything shared is atomic.
+// decisions (delay, size) are made under the batcher's admission lock;
+// the observations arrive from window completions and the snapshots go
+// to Stats readers, so everything shared is atomic.
 type adaptive struct {
 	cfg   AdaptiveConfig
 	clock Clock

@@ -36,8 +36,9 @@ type BatcherConfig struct {
 	// MaxDelay is the admission window: a flush happens at most MaxDelay
 	// after the first request of a window was admitted, trading up to that
 	// much latency for batch collapse. MaxDelay = 0 disables
-	// micro-batching: Submit solves directly (bounded by QueueCap
-	// concurrent solves, shedding beyond), so a serving layer can expose
+	// micro-batching: every window holds one request, flushed at
+	// admission and solved on the submitting goroutine (so up to QueueCap
+	// solves run at once, shedding beyond), so a serving layer can expose
 	// batching as a knob that can be turned off.
 	MaxDelay time.Duration
 	// MaxSize flushes a window early once it holds this many requests.
@@ -45,8 +46,8 @@ type BatcherConfig struct {
 	// size; the effective threshold grows toward Adaptive.MaxSize when
 	// the drain workers are behind.
 	MaxSize int
-	// QueueCap bounds admission. A Submit that finds the queue full (or,
-	// with MaxDelay = 0, QueueCap solves in flight) is shed with
+	// QueueCap bounds admission: at most QueueCap submissions may be
+	// admitted and not yet answered. A submission beyond it is shed with
 	// ErrOverloaded instead of blocking, so overload surfaces immediately
 	// rather than as unbounded latency. Default 1024.
 	QueueCap int
@@ -66,23 +67,25 @@ type BatcherConfig struct {
 	// be > 0 (the adaptive policy is meaningless in direct mode).
 	Adaptive *AdaptiveConfig
 	// OnFlush, when set, observes the size of every flushed window (a
-	// metrics hook; called from the collector goroutine, must not block).
+	// metrics hook). It runs under the batcher's admission lock, on
+	// whichever goroutine flushed the window, so it must not block or
+	// call back into the batcher. One-request windows of MaxDelay = 0
+	// are not micro-batching windows and are not reported.
 	OnFlush func(size int)
 	// OnShed, when set, observes every shed submission: its class name,
 	// owner tag (synchronous mode; nil otherwise) and the shed error
 	// (ErrOverloaded, or ErrSLOUnmeetable for deadline-aware drops).
-	// Called from whichever goroutine sheds; must not block.
+	// Same calling rules as OnFlush.
 	OnShed func(class string, tag any, err error)
 	// OnWindow switches the batcher into synchronous (simulation) mode:
-	// NewBatcher spawns no goroutines, and the owner drives admission
-	// explicitly — Offer admits or sheds, WindowDeadline exposes the
-	// pending flush time, ExpireWindow fires it, and every flushed window
-	// is handed to OnWindow instead of the drain pool; the owner answers
-	// it with Window.Complete. The window bookkeeping, adaptive policy,
-	// SLO shedding and violation accounting are the same code the
-	// goroutine mode runs; only the channel/goroutine transport around
-	// them is absent. internal/sim replays millions of virtual arrivals
-	// through this surface.
+	// NewBatcher spawns no goroutines and arms no timers, and the owner
+	// drives admission explicitly — Offer admits or sheds, WindowDeadline
+	// exposes the pending flush time, ExpireWindow fires it, and every
+	// flushed window is handed to OnWindow (outside the admission lock)
+	// instead of the drain workers; the owner answers it with
+	// Window.Complete. Admission, flushing and completion are the code
+	// Submit runs; only who solves the window differs. internal/sim
+	// replays millions of virtual arrivals through this surface.
 	OnWindow func(*Window)
 }
 
@@ -107,9 +110,9 @@ func (cfg BatcherConfig) withDefaults() BatcherConfig {
 // cumulative counters (windows, batched requests, shed submissions) live
 // in the owning solver's Stats.
 type BatcherStats struct {
-	// QueueDepth is the number of admitted submissions not yet collected
-	// into a window (in synchronous mode: admitted submissions in flushed
-	// windows not yet completed).
+	// QueueDepth is the number of admitted submissions in flushed windows
+	// not yet answered: the backlog a new window queues behind (serving
+	// layers derive Retry-After from it).
 	QueueDepth int
 	// WindowFill is the size of the currently filling window.
 	WindowFill int
@@ -155,6 +158,11 @@ func (sub *submission) stage(name string, start, end time.Time, attrs ...obs.Att
 // waits out the window, which is what makes its batch sizes stable under
 // load.
 //
+// One admission state machine serves three modes, which differ only in
+// who solves a flushed window: the Workers drain goroutines (the
+// default), the submitting goroutine (MaxDelay = 0), or the owner
+// (synchronous mode, see BatcherConfig.OnWindow).
+//
 // With BatcherConfig.Adaptive set, the window delay and size adapt to
 // observed backlog and solve cost, and requests that provably cannot meet
 // their SLO deadline are shed early; see AdaptiveConfig.
@@ -167,23 +175,21 @@ type Batcher struct {
 	clock Clock
 	adapt *adaptive // nil unless cfg.Adaptive
 
-	mu     sync.RWMutex // guards closed vs. new admissions
-	closed bool
-	queue  chan *submission
+	// mu guards admission: the closed flag and the filling window.
+	mu       sync.Mutex
+	closed   bool
+	win      []*submission // the filling window
+	winSize  int           // its early-flush threshold
+	winFlush time.Time     // its scheduled flush
+	winSeq   uint64        // flushes so far; a stale flush timer compares it
+	timer    Timer         // drain mode: fires the window's flush
 
-	direct   chan struct{} // MaxDelay = 0: concurrency slots instead of a queue
-	inflight sync.WaitGroup
+	// outstanding counts admitted submissions not yet answered, the
+	// quantity QueueCap bounds. Completion decrements it without mu.
+	outstanding atomic.Int64
 
-	flushes chan []*submission
-	fill    atomic.Int64
-	wg      sync.WaitGroup // collector + drain workers
-
-	// Synchronous mode state (OnWindow != nil); single-threaded by
-	// contract, no locking.
-	syncWin      []*submission
-	syncDeadline time.Time
-	syncSize     int
-	outstanding  int
+	windows chan *Window   // drain mode: flushed windows for the workers
+	wg      sync.WaitGroup // drain workers, or direct-mode solves in flight
 }
 
 // NewBatcher builds an admission-window micro-batcher over the solver.
@@ -193,22 +199,22 @@ func (s *Solver) NewBatcher(cfg BatcherConfig) *Batcher {
 	if cfg.Adaptive != nil && cfg.MaxDelay > 0 {
 		b.adapt = newAdaptive(*cfg.Adaptive, cfg.Clock)
 	}
-	if cfg.OnWindow != nil {
-		return b // synchronous mode: the owner pumps
-	}
-	if cfg.MaxDelay <= 0 {
-		b.direct = make(chan struct{}, cfg.QueueCap)
-		return b
-	}
-	b.queue = make(chan *submission, cfg.QueueCap)
-	b.flushes = make(chan []*submission, cfg.Workers)
-	b.wg.Add(1 + cfg.Workers)
-	go b.collect()
-	for w := 0; w < cfg.Workers; w++ {
-		go b.drain()
+	if cfg.OnWindow == nil && cfg.MaxDelay > 0 {
+		// Outstanding submissions, and so windows, never exceed QueueCap:
+		// a flush sends here under mu without blocking.
+		b.windows = make(chan *Window, cfg.QueueCap)
+		b.wg.Add(cfg.Workers)
+		for w := 0; w < cfg.Workers; w++ {
+			go b.drain()
+		}
 	}
 	return b
 }
+
+// direct reports whether batching is off (MaxDelay = 0 outside
+// synchronous mode): every window is one request, solved by its
+// submitter.
+func (b *Batcher) direct() bool { return b.cfg.OnWindow == nil && b.cfg.MaxDelay <= 0 }
 
 // AdaptiveState snapshots the adaptive admission controller; ok reports
 // false when the batcher runs the fixed window.
@@ -238,13 +244,14 @@ func (b *Batcher) resolveClass(name string) (SLOClass, error) {
 	return SLOClass{}, fmt.Errorf("%w %q", ErrUnknownClass, name)
 }
 
-// newSubmission builds a submission under its class: the class deadline
-// (measured on the batcher clock) is merged into the context so the
-// solve is cancelled at the deadline, and recorded for SLO shedding and
-// violation accounting. A context that already carries an earlier
-// deadline keeps it.
-func (b *Batcher) newSubmission(ctx context.Context, req Request, class SLOClass) (*submission, context.CancelFunc) {
-	sub := &submission{ctx: ctx, req: req, class: class, ready: make(chan struct{})}
+// newSubmission builds a submission under its class. The class deadline
+// (measured on the batcher clock) is recorded for SLO shedding and
+// violation accounting; where the batcher solves — every mode but the
+// synchronous one, whose owner models the solve — it is also merged into
+// the context so the solve is cancelled at the deadline. A context that
+// already carries an earlier deadline keeps it.
+func (b *Batcher) newSubmission(ctx context.Context, req Request, class SLOClass, tag any) (*submission, context.CancelFunc) {
+	sub := &submission{ctx: ctx, req: req, class: class, tag: tag, ready: make(chan struct{})}
 	if ts := obs.Traces(ctx); len(ts) > 0 {
 		sub.traces = ts
 		sub.submitAt = b.clock.Now()
@@ -252,7 +259,9 @@ func (b *Batcher) newSubmission(ctx context.Context, req Request, class SLOClass
 	cancel := context.CancelFunc(func() {})
 	if class.Deadline > 0 {
 		sub.deadline = b.clock.Now().Add(class.Deadline)
-		sub.ctx, cancel = b.clock.ContextWithDeadline(ctx, sub.deadline)
+		if b.cfg.OnWindow == nil {
+			sub.ctx, cancel = b.clock.ContextWithDeadline(ctx, sub.deadline)
+		}
 	} else if d, ok := ctx.Deadline(); ok {
 		sub.deadline = d
 	}
@@ -300,23 +309,22 @@ func (b *Batcher) submitClass(ctx context.Context, req Request, class SLOClass) 
 	if b.cfg.OnWindow != nil {
 		return nil, fmt.Errorf("dls: Submit on a synchronous batcher (drive it with Offer)")
 	}
-	sub, cancel := b.newSubmission(ctx, req, class)
+	sub, cancel := b.newSubmission(ctx, req, class, nil)
 	defer cancel()
-	if b.direct != nil {
-		return b.submitDirect(sub)
+	b.mu.Lock()
+	w, err := b.admitLocked(sub)
+	if w != nil {
+		b.wg.Add(1) // Close waits out this direct solve
 	}
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		return nil, ErrBatcherClosed
+	b.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	select {
-	case b.queue <- sub:
-		b.mu.RUnlock()
-	default:
-		b.mu.RUnlock()
-		b.recordShed(sub, ErrOverloaded)
-		return nil, ErrOverloaded
+	if w != nil {
+		// Batching is off: the one-request window solves right here.
+		b.solveWindow(w)
+		b.wg.Done()
+		return sub.res, sub.err
 	}
 	select {
 	case <-sub.ready:
@@ -326,89 +334,133 @@ func (b *Batcher) submitClass(ctx context.Context, req Request, class SLOClass) 
 	}
 }
 
-// submitDirect is the MaxDelay = 0 path: no window, one direct solve,
-// still bounded (QueueCap concurrent solves, shed beyond) and still
-// honouring Close.
-func (b *Batcher) submitDirect(sub *submission) (*Result, error) {
-	b.mu.RLock()
+// admitLocked is the admission step of every mode, run under b.mu. A
+// submission whose context is already done is answered without being
+// admitted, so the adaptive estimates only see live traffic. Beyond
+// QueueCap outstanding submissions, or when the adaptive policy predicts
+// its SLO deadline cannot be met, the submission is shed. Otherwise it
+// joins the filling window, opening one if needed, and a window that
+// reaches its size threshold flushes at once. The returned window, if
+// any, is the caller's to deliver (see flushLocked).
+func (b *Batcher) admitLocked(sub *submission) (*Window, error) {
 	if b.closed {
-		b.mu.RUnlock()
 		return nil, ErrBatcherClosed
 	}
-	select {
-	case b.direct <- struct{}{}:
-	default:
-		b.mu.RUnlock()
+	if err := sub.ctx.Err(); err != nil {
+		sub.err = err
+		close(sub.ready)
+		return nil, nil
+	}
+	if b.outstanding.Load() >= int64(b.cfg.QueueCap) {
 		b.recordShed(sub, ErrOverloaded)
-		return nil, ErrOverloaded
+		return nil, nil
 	}
-	b.inflight.Add(1)
-	b.mu.RUnlock()
-	defer func() {
-		<-b.direct
-		b.inflight.Done()
-	}()
-	var start time.Time
+	if !b.admitOrShed(sub, b.winFlush) {
+		return nil, nil
+	}
+	b.outstanding.Add(1)
 	if len(sub.traces) > 0 {
-		start = b.clock.Now()
+		sub.admitAt = b.clock.Now()
 	}
-	res, err := b.s.Solve(sub.ctx, sub.req)
-	if len(sub.traces) > 0 {
-		now := b.clock.Now()
-		// Direct mode has no window: the slot wait is the queue stage and
-		// the solve runs immediately after.
-		sub.stage("queue_wait", sub.submitAt, start)
-		sub.stage("solve", start, now)
+	b.win = append(b.win, sub)
+	if len(b.win) == 1 {
+		b.winSize = b.windowSize()
+		delay := b.windowDelay(sub)
+		b.winFlush = b.clock.Now().Add(delay)
+		if b.windows != nil && b.winSize > 1 {
+			b.armFlush(delay)
+		}
 	}
-	b.accountCompletion(sub, err)
-	return res, err
+	if len(b.win) >= b.winSize {
+		return b.flushLocked(), nil
+	}
+	return nil, nil
+}
+
+// armFlush schedules the filling window's flush in drain mode. The timer
+// can fire after its window already left by size (Stop lost the race);
+// the flush sequence number turns that stale firing into a no-op.
+func (b *Batcher) armFlush(delay time.Duration) {
+	seq := b.winSeq
+	b.timer = b.clock.AfterFunc(delay, func() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		if b.winSeq == seq {
+			b.flushLocked()
+		}
+	})
+}
+
+// flushLocked closes the filling window, under b.mu: submissions the
+// adaptive policy now finds doomed are shed, the flush is counted and
+// traced, and the survivors leave as one Window. In drain mode the window
+// goes to the workers here; otherwise it is returned for the caller to
+// deliver after unlocking — to OnWindow in synchronous mode, to the
+// submitting goroutine's solve in direct mode.
+func (b *Batcher) flushLocked() *Window {
+	if len(b.win) == 0 {
+		return nil
+	}
+	if b.timer != nil {
+		b.timer.Stop()
+		b.timer = nil
+	}
+	b.winSeq++
+	win := b.dropDoomed(b.win)
+	b.outstanding.Add(-int64(len(b.win) - len(win)))
+	b.win, b.winFlush = nil, time.Time{}
+	if len(win) == 0 {
+		return nil
+	}
+	var id uint64
+	if !b.direct() {
+		id = b.countFlush(win)
+	}
+	b.stageFlush(win, id)
+	w := &Window{b: b, subs: win, flushed: b.clock.Now()}
+	if b.windows != nil {
+		b.windows <- w
+		return nil
+	}
+	return w
 }
 
 // accountCompletion records the SLO outcome of one answered submission.
-func (b *Batcher) accountCompletion(sub *submission, err error) {
-	if sub.deadline.IsZero() || err != nil {
+func (b *Batcher) accountCompletion(sub *submission, now time.Time) {
+	if sub.deadline.IsZero() || sub.err != nil {
 		return
 	}
-	if b.clock.Now().After(sub.deadline) {
+	if now.After(sub.deadline) {
 		b.s.violationsByClass.Add(sub.class.Name, 1)
 	}
 }
 
-// Close stops admission and drains: every queued submission is still
-// flushed, solved and answered before Close returns. Further Submits
-// report ErrBatcherClosed. In synchronous mode the filling window is
-// flushed through OnWindow; completing it stays with the owner.
+// Close stops admission and drains: the filling window is flushed, and
+// every admitted submission is still solved and answered before Close
+// returns. Further submissions report ErrBatcherClosed. In synchronous
+// mode the filling window goes to OnWindow; completing it stays with the
+// owner.
 func (b *Batcher) Close() {
 	b.mu.Lock()
+	var w *Window
 	if !b.closed {
 		b.closed = true
-		if b.queue != nil {
-			close(b.queue)
-		}
-		if b.cfg.OnWindow != nil && len(b.syncWin) > 0 {
-			b.flushSync()
+		w = b.flushLocked()
+		if b.windows != nil {
+			close(b.windows)
 		}
 	}
 	b.mu.Unlock()
-	b.inflight.Wait()
+	b.handOff(w)
 	b.wg.Wait()
 }
 
 // Stats returns the batcher's admission gauges.
 func (b *Batcher) Stats() BatcherStats {
-	if b.cfg.OnWindow != nil {
-		return BatcherStats{
-			QueueDepth: b.outstanding - len(b.syncWin),
-			WindowFill: len(b.syncWin),
-		}
-	}
-	if b.direct != nil {
-		return BatcherStats{QueueDepth: len(b.direct)}
-	}
-	return BatcherStats{
-		QueueDepth: len(b.queue),
-		WindowFill: int(b.fill.Load()),
-	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	fill := len(b.win)
+	return BatcherStats{QueueDepth: int(b.outstanding.Load()) - fill, WindowFill: fill}
 }
 
 // windowDelay decides the admission delay for a window opened by sub.
@@ -421,13 +473,16 @@ func (b *Batcher) windowDelay(sub *submission) time.Duration {
 
 // windowSize decides the early-flush threshold for the current window.
 func (b *Batcher) windowSize() int {
-	if b.adapt != nil {
+	switch {
+	case b.direct():
+		return 1
+	case b.adapt != nil:
 		return b.adapt.windowSize(b.cfg.MaxSize)
 	}
 	return b.cfg.MaxSize
 }
 
-// admitOrShed applies the deadline-aware admission check to a collected
+// admitOrShed applies the deadline-aware admission check to a
 // submission: a deadline-carrying request whose estimated completion
 // (remaining window wait, backlog of windows ahead, its own solve)
 // already exceeds its deadline is shed now rather than solved into a
@@ -466,10 +521,9 @@ func (b *Batcher) dropDoomed(win []*submission) []*submission {
 	return live
 }
 
-// countFlush runs the shared flush bookkeeping (counters, hooks,
-// adaptive backlog) for a window about to leave the collector, and
-// returns the window's id (the solver-wide flush sequence number, which
-// trace stages annotate).
+// countFlush runs the flush bookkeeping (counters, hooks, adaptive
+// backlog) for a micro-batching window, and returns the window's id (the
+// solver-wide flush sequence number, which trace stages annotate).
 func (b *Batcher) countFlush(win []*submission) uint64 {
 	if b.cfg.OnFlush != nil {
 		b.cfg.OnFlush(len(win))
@@ -486,9 +540,10 @@ func (b *Batcher) countFlush(win []*submission) uint64 {
 }
 
 // stageFlush records the admission stages of a flushed window on every
-// traced submission — queue_wait (submit → admission) and window_wait
-// (admission → this flush, annotated with the window id and fill) — and
-// stamps flushAt, where the solve stage picks up.
+// traced submission — queue_wait (submit → admission) and, for a counted
+// window (id > 0), window_wait (admission → this flush, annotated with
+// the window id and fill) — and stamps flushAt, where the solve stage
+// picks up.
 func (b *Batcher) stageFlush(win []*submission, id uint64) {
 	var now time.Time
 	for _, sub := range win {
@@ -500,162 +555,106 @@ func (b *Batcher) stageFlush(win []*submission, id uint64) {
 		}
 		sub.flushAt = now
 		sub.stage("queue_wait", sub.submitAt, sub.admitAt)
-		sub.stage("window_wait", sub.admitAt, now,
-			obs.Uint64("window", id), obs.Int("fill", len(win)))
+		if id > 0 {
+			sub.stage("window_wait", sub.admitAt, now,
+				obs.Uint64("window", id), obs.Int("fill", len(win)))
+		}
 	}
 }
 
-// collect runs the admission loop: it gathers submissions into a window
-// and flushes when the window is full or when the window delay has
-// passed since the window opened.
-func (b *Batcher) collect() {
-	defer b.wg.Done()
-	defer close(b.flushes)
-	var (
-		win     []*submission
-		size    int
-		flushAt time.Time
-		timer   Timer
-		fire    <-chan time.Time
-	)
-	flush := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, fire = nil, nil
+// Window is one flushed admission window. In synchronous mode it is
+// handed to BatcherConfig.OnWindow: the owner inspects its composition
+// (size, dedup groups, classes) to model service time, then answers it
+// with Complete. In the other modes the batcher solves it itself.
+type Window struct {
+	b       *Batcher
+	subs    []*submission
+	groups  int // synchronous mode: dedup groups, set at hand-off
+	flushed time.Time
+}
+
+// complete answers every submission of the window at the current clock
+// time — the one completion path of all modes. results[i]/errs[i] answer
+// submission i; a nil slice leaves what the submissions already hold.
+// Traced submissions get their solve stage, deadline violations are
+// counted per class, and the adaptive controller observes the window's
+// service time (flush to now) over its dedup groups. The controller and
+// the admission bound release the window before any submitter wakes, so
+// a caller that resubmits on its answer finds the capacity it freed.
+func (w *Window) complete(results []*Result, errs []error, groups int) {
+	b := w.b
+	now := b.clock.Now()
+	for i, sub := range w.subs {
+		if results != nil {
+			sub.res = results[i]
 		}
-		flushAt = time.Time{}
-		win = b.dropDoomed(win)
-		if len(win) == 0 {
-			win = nil
-			b.fill.Store(0)
-			return
+		if errs != nil {
+			sub.err = errs[i]
 		}
-		id := b.countFlush(win)
-		b.stageFlush(win, id)
-		b.flushes <- win
-		win = nil
-		b.fill.Store(0)
+		if len(sub.traces) > 0 {
+			sub.stage("solve", sub.flushAt, now)
+		}
+		b.accountCompletion(sub, now)
 	}
-	for {
-		select {
-		case sub, ok := <-b.queue:
-			if !ok {
-				flush()
-				return
-			}
-			if err := sub.ctx.Err(); err != nil {
-				// Abandoned while queued; answer without admitting so the
-				// adaptive estimates only see live traffic.
-				sub.err = err
-				close(sub.ready)
-				continue
-			}
-			if !b.admitOrShed(sub, flushAt) {
-				continue
-			}
-			if len(sub.traces) > 0 {
-				sub.admitAt = b.clock.Now()
-			}
-			win = append(win, sub)
-			b.fill.Store(int64(len(win)))
-			if len(win) == 1 {
-				size = b.windowSize()
-				delay := b.windowDelay(sub)
-				flushAt = b.clock.Now().Add(delay)
-				timer = b.clock.NewTimer(delay)
-				fire = timer.C()
-			}
-			if len(win) >= size {
-				flush()
-			}
-		case <-fire:
-			timer, fire = nil, nil
-			flush()
-		}
+	if b.adapt != nil {
+		b.adapt.inFlight.Add(-1)
+		b.adapt.observeSolve(now.Sub(w.flushed), groups)
+	}
+	b.outstanding.Add(-int64(len(w.subs)))
+	for _, sub := range w.subs {
+		close(sub.ready)
 	}
 }
 
 // drain solves flushed windows.
 func (b *Batcher) drain() {
 	defer b.wg.Done()
-	for win := range b.flushes {
-		b.solveWindow(win)
+	for w := range b.windows {
+		b.solveWindow(w)
 	}
-}
-
-// countGroups counts the deduplicated problems of a window — the number
-// of solves its SolveBatch actually runs — for the adaptive cost model.
-func countGroups(win []*submission) int {
-	seen := make(map[string]struct{}, len(win))
-	groups := 0
-	for _, sub := range win {
-		if sub.req.Platform == nil {
-			groups++ // invalid; errors individually, never solves
-			continue
-		}
-		key := sub.req.cacheKey()
-		if _, ok := seen[key]; !ok {
-			seen[key] = struct{}{}
-			groups++
-		}
-	}
-	return groups
 }
 
 // solveWindow answers every submission of one window with a single
 // SolveBatch call. Submissions whose context is already done are answered
 // with their ctx.Err() without solving; the batch context propagates the
-// callers' deadlines and cancellations (see windowContext).
-func (b *Batcher) solveWindow(win []*submission) {
-	groups := 0
-	start := b.clock.Now()
-	defer func() {
-		if b.adapt != nil {
-			b.adapt.inFlight.Add(-1)
-			b.adapt.observeSolve(b.clock.Now().Sub(start), groups)
-		}
-	}()
-	live := win[:0]
-	for _, sub := range win {
+// callers' deadlines and cancellations (see windowContext). The adaptive
+// controller is charged with the solver's own dedup group count.
+func (b *Batcher) solveWindow(w *Window) {
+	live := make([]*submission, 0, len(w.subs))
+	for _, sub := range w.subs {
 		if err := sub.ctx.Err(); err != nil {
 			sub.err = err
-			close(sub.ready)
 			continue
 		}
 		live = append(live, sub)
 	}
-	if len(live) == 0 {
-		return
-	}
-	groups = countGroups(live)
-	ctx, cancel := b.windowContext(live)
-	if cancel != nil {
-		defer cancel()
-	}
-	reqs := make([]Request, len(live))
-	var traces [][]*obs.Trace
-	for i, sub := range live {
-		reqs[i] = sub.req
-		if len(sub.traces) > 0 {
-			if traces == nil {
-				traces = make([][]*obs.Trace, len(live))
+	groups := 0
+	if len(live) > 0 {
+		ctx, cancel := b.windowContext(live)
+		reqs := make([]Request, len(live))
+		var traces [][]*obs.Trace
+		for i, sub := range live {
+			reqs[i] = sub.req
+			if len(sub.traces) > 0 {
+				if traces == nil {
+					traces = make([][]*obs.Trace, len(live))
+				}
+				traces[i] = sub.traces
 			}
-			traces[i] = sub.traces
+		}
+		var (
+			results []*Result
+			errs    []error
+		)
+		results, errs, groups = b.s.solveBatchTraced(ctx, reqs, traces)
+		if cancel != nil {
+			cancel()
+		}
+		for i, sub := range live {
+			sub.res, sub.err = results[i], errs[i]
 		}
 	}
-	results, errs := b.s.solveBatchTraced(ctx, reqs, traces)
-	var done time.Time
-	if traces != nil {
-		done = b.clock.Now()
-	}
-	for i, sub := range live {
-		sub.res, sub.err = results[i], errs[i]
-		if len(sub.traces) > 0 {
-			sub.stage("solve", sub.flushAt, done)
-		}
-		b.accountCompletion(sub, sub.err)
-		close(sub.ready)
-	}
+	w.complete(nil, nil, groups)
 }
 
 // windowContext derives the context a window is solved under. A window

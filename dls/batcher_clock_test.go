@@ -98,8 +98,8 @@ func TestBatcherWindowExpiryAtRequestDeadline(t *testing.T) {
 		_, err := b.SubmitSLO(context.Background(), req, "exact")
 		errc <- err
 	}()
-	// Two timers must be pending: the deadline context (armed by Submit)
-	// and the window timer (armed by the collector) — both due at +2ms.
+	// Two timers must be pending: the deadline context and the window's
+	// flush timer, both armed by Submit and both due at +2ms.
 	if !clk.WaitTimers(2, 5*time.Second) {
 		t.Fatal("deadline and window timers were not both armed")
 	}
@@ -138,8 +138,8 @@ func TestBatcherWindowExpiryAtRequestDeadline(t *testing.T) {
 }
 
 // TestBatcherDirectModeShedsAtCap covers the zero-delay window with a
-// full queue: MaxDelay = 0 turns the batcher into a bounded direct
-// solver, and a Submit beyond QueueCap concurrent solves must shed
+// full queue: MaxDelay = 0 makes every window one request solved by its
+// submitter, and a Submit beyond QueueCap outstanding solves must shed
 // immediately with ErrOverloaded, then recover once the slot frees.
 func TestBatcherDirectModeShedsAtCap(t *testing.T) {
 	registerBlockingStrategy()

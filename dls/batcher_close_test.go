@@ -123,7 +123,8 @@ func TestBatcherSubmitCloseRace(t *testing.T) {
 }
 
 // TestBatcherDirectSubmitCloseRace covers the MaxDelay = 0 path, where
-// Submit solves inline under an inflight gate that Close waits on.
+// Submit solves its one-request window inline and Close waits the solve
+// out.
 func TestBatcherDirectSubmitCloseRace(t *testing.T) {
 	solver := mustSolver(t)
 	for round := 0; round < 10; round++ {

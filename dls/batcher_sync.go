@@ -4,21 +4,18 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // This file is the synchronous (simulation) driving surface of Batcher,
-// active when BatcherConfig.OnWindow is set: no goroutines, no channels —
+// active when BatcherConfig.OnWindow is set: no goroutines, no timers —
 // the owner delivers arrivals with Offer, fires the window timer with
 // ExpireWindow when its clock reaches WindowDeadline, and completes
 // flushed windows with Window.Complete at whatever (virtual) time the
-// service model dictates. Admission, window bookkeeping, the adaptive
-// policy, SLO shedding and violation accounting are the same code paths
-// the goroutine mode runs; only the transport differs. internal/sim
-// drives millions of virtual arrivals through this surface in seconds of
-// wall clock. The surface is intentionally single-threaded: the owner
-// must serialize all calls.
+// service model dictates. Offer, ExpireWindow and Complete run the
+// admission, flush and completion steps that Submit, the window timer
+// and the drain workers run in the other modes; only the transport
+// around them is absent. internal/sim drives millions of virtual
+// arrivals through this surface in seconds of wall clock.
 
 // Pending is the reply slot of one synchronously offered submission.
 type Pending struct{ sub *submission }
@@ -53,17 +50,6 @@ func (p *Pending) SetTag(v any) { p.sub.tag = v }
 
 // Tag returns the value set with SetTag.
 func (p *Pending) Tag() any { return p.sub.tag }
-
-// Window is one flushed admission window in synchronous mode, handed to
-// BatcherConfig.OnWindow. The owner inspects its composition (size,
-// dedup groups, classes) to model service time, then answers it with
-// Complete.
-type Window struct {
-	b       *Batcher
-	subs    []*submission
-	groups  int
-	flushed time.Time
-}
 
 // Size returns the number of submissions in the window.
 func (w *Window) Size() int { return len(w.subs) }
@@ -100,29 +86,7 @@ func (w *Window) Complete(results []*Result, errs []error) error {
 	if errs != nil && len(errs) != len(w.subs) {
 		return fmt.Errorf("dls: Window.Complete: %d errors for %d submissions", len(errs), len(w.subs))
 	}
-	b := w.b
-	var done time.Time
-	for i, sub := range w.subs {
-		if results != nil {
-			sub.res = results[i]
-		}
-		if errs != nil {
-			sub.err = errs[i]
-		}
-		if len(sub.traces) > 0 {
-			if done.IsZero() {
-				done = b.clock.Now()
-			}
-			sub.stage("solve", sub.flushAt, done)
-		}
-		b.accountCompletion(sub, sub.err)
-		close(sub.ready)
-	}
-	b.outstanding -= len(w.subs)
-	if b.adapt != nil {
-		b.adapt.inFlight.Add(-1)
-		b.adapt.observeSolve(b.clock.Now().Sub(w.flushed), w.groups)
-	}
+	w.complete(results, errs, w.groups)
 	return nil
 }
 
@@ -133,86 +97,73 @@ func (w *Window) Complete(results []*Result, errs []error) error {
 // (admitted, not yet completed) submissions; beyond it, and for
 // deadline-carrying requests the adaptive policy predicts cannot meet
 // their SLO, the submission is shed with ErrOverloaded /
-// ErrSLOUnmeetable exactly like the goroutine mode. tag is attached
-// before any shed or flush can observe the submission (see Pending.Tag
-// and BatcherConfig.OnShed) — Offer can flush a full window before it
+// ErrSLOUnmeetable exactly like Submit. tag is attached before any shed
+// or flush can observe the submission (see Pending.Tag and
+// BatcherConfig.OnShed) — Offer can flush a full window before it
 // returns, so setting the tag afterwards would be too late.
 func (b *Batcher) Offer(ctx context.Context, req Request, class string, tag any) (*Pending, error) {
 	if b.cfg.OnWindow == nil {
 		return nil, fmt.Errorf("dls: Offer on an asynchronous batcher (use Submit)")
 	}
-	if b.closed {
-		return nil, ErrBatcherClosed
-	}
 	c, err := b.resolveClass(class)
 	if err != nil {
 		return nil, err
 	}
-	sub := &submission{ctx: ctx, req: req, class: c, ready: make(chan struct{}), tag: tag}
-	if ts := obs.Traces(ctx); len(ts) > 0 {
-		// Synchronous admission is immediate: submit and admit coincide,
-		// so queue_wait is zero and window_wait spans Offer → flush.
-		sub.traces = ts
-		sub.submitAt = b.clock.Now()
-		sub.admitAt = sub.submitAt
+	sub, _ := b.newSubmission(ctx, req, c, tag)
+	b.mu.Lock()
+	w, err := b.admitLocked(sub)
+	b.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	if c.Deadline > 0 {
-		sub.deadline = b.clock.Now().Add(c.Deadline)
-	} else if d, ok := ctx.Deadline(); ok {
-		sub.deadline = d
-	}
-	p := &Pending{sub: sub}
-	if b.outstanding >= b.cfg.QueueCap {
-		b.recordShed(sub, ErrOverloaded)
-		return p, nil
-	}
-	if !b.admitOrShed(sub, b.syncDeadline) {
-		return p, nil
-	}
-	b.outstanding++
-	b.syncWin = append(b.syncWin, sub)
-	b.fill.Store(int64(len(b.syncWin)))
-	if len(b.syncWin) == 1 {
-		b.syncSize = b.windowSize()
-		b.syncDeadline = b.clock.Now().Add(b.windowDelay(sub))
-	}
-	if len(b.syncWin) >= b.syncSize {
-		b.flushSync()
-	}
-	return p, nil
+	b.handOff(w)
+	return &Pending{sub: sub}, nil
 }
 
 // WindowDeadline returns the flush time of the currently filling window;
 // ok is false when no window is open. The owner is expected to call
 // ExpireWindow when its clock reaches the deadline.
 func (b *Batcher) WindowDeadline() (time.Time, bool) {
-	if b.cfg.OnWindow == nil || len(b.syncWin) == 0 {
-		return time.Time{}, false
-	}
-	return b.syncDeadline, true
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.winFlush, len(b.win) > 0
 }
 
 // ExpireWindow fires the window timer: the filling window, if any, is
-// flushed through OnWindow regardless of fill.
+// flushed regardless of fill.
 func (b *Batcher) ExpireWindow() {
-	if b.cfg.OnWindow != nil && len(b.syncWin) > 0 {
-		b.flushSync()
-	}
+	b.mu.Lock()
+	w := b.flushLocked()
+	b.mu.Unlock()
+	b.handOff(w)
 }
 
-// flushSync flushes the filling window through OnWindow, applying the
-// same doomed-request shedding and flush bookkeeping as the goroutine
-// collector.
-func (b *Batcher) flushSync() {
-	win := b.dropDoomed(b.syncWin)
-	b.outstanding -= len(b.syncWin) - len(win)
-	b.syncWin = nil
-	b.syncDeadline = time.Time{}
-	b.fill.Store(0)
-	if len(win) == 0 {
+// handOff delivers a window flushed in synchronous mode to the owner. It
+// runs outside b.mu, so OnWindow may complete the window at once.
+func (b *Batcher) handOff(w *Window) {
+	if w == nil {
 		return
 	}
-	id := b.countFlush(win)
-	b.stageFlush(win, id)
-	b.cfg.OnWindow(&Window{b: b, subs: win, groups: countGroups(win), flushed: b.clock.Now()})
+	w.groups = countGroups(w.subs)
+	b.cfg.OnWindow(w)
+}
+
+// countGroups counts the deduplicated problems of a window — the number
+// of solves its SolveBatch would run — for owners that model the solve
+// instead of running it.
+func countGroups(win []*submission) int {
+	seen := make(map[string]struct{}, len(win))
+	groups := 0
+	for _, sub := range win {
+		if sub.req.Platform == nil {
+			groups++ // invalid; errors individually, never solves
+			continue
+		}
+		key := sub.req.cacheKey()
+		if _, ok := seen[key]; !ok {
+			seen[key] = struct{}{}
+			groups++
+		}
+	}
+	return groups
 }

@@ -240,9 +240,10 @@ var registerBlockingStrategy = sync.OnceFunc(func() {
 	}
 })
 
-// TestBatcherSheds: once the drain workers are wedged and the admission
-// queue is full, further submissions are rejected immediately with
-// ErrOverloaded and counted, instead of queueing unboundedly.
+// TestBatcherSheds: once the drain worker is wedged, admission holds
+// exactly QueueCap outstanding submissions; every further submission is
+// rejected immediately with ErrOverloaded and counted, instead of
+// queueing unboundedly.
 func TestBatcherSheds(t *testing.T) {
 	registerBlockingStrategy()
 	rng := rand.New(rand.NewSource(9093))
@@ -252,9 +253,10 @@ func TestBatcherSheds(t *testing.T) {
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// 16 concurrent blocking submissions against absorbing capacity 5
-	// (1 draining + 1 buffered flush + 1 in the collector + 2 queued):
-	// at least 11 must shed no matter the interleaving.
+	// 16 concurrent blocking submissions against QueueCap 2: the bound
+	// counts admitted-but-unanswered submissions wherever they wait
+	// (filling window, flushed window, solve), so exactly 14 shed
+	// whatever the interleaving.
 	var wg sync.WaitGroup
 	var shed atomic.Uint64
 	for i := 0; i < 16; i++ {
@@ -269,13 +271,16 @@ func TestBatcherSheds(t *testing.T) {
 	// Every submission either sheds immediately or parks in the wedged
 	// batcher; wait until the shed ones have reported, then release.
 	deadline := time.Now().Add(5 * time.Second)
-	for shed.Load() < 11 && time.Now().Before(deadline) {
+	for shed.Load() < 14 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
+	}
+	if st := b.Stats(); st.QueueDepth+st.WindowFill != 2 {
+		t.Errorf("outstanding submissions %+v, want QueueCap = 2", st)
 	}
 	cancel()
 	wg.Wait()
-	if shed.Load() < 11 {
-		t.Fatalf("only %d of 16 submissions shed with capacity 5", shed.Load())
+	if shed.Load() != 14 {
+		t.Fatalf("%d of 16 submissions shed with QueueCap 2, want 14", shed.Load())
 	}
 	if st := solver.Stats(); st.Shed != shed.Load() {
 		t.Errorf("shed counter %d != observed sheds %d", st.Shed, shed.Load())

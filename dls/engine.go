@@ -541,7 +541,7 @@ func (s *Solver) run(ctx context.Context, req Request, fn StrategyFunc) (*Result
 // requests leave a nil slot; the returned error joins the per-request
 // errors in request order.
 func (s *Solver) SolveBatch(ctx context.Context, reqs []Request) ([]*Result, error) {
-	results, errs := s.solveBatch(ctx, reqs)
+	results, errs, _ := s.solveBatchTraced(ctx, reqs, nil)
 	for i, err := range errs {
 		if err != nil {
 			errs[i] = fmt.Errorf("dls: batch request %d: %w", i, err)
@@ -550,25 +550,21 @@ func (s *Solver) SolveBatch(ctx context.Context, reqs []Request) ([]*Result, err
 	return results, errors.Join(errs...)
 }
 
-// solveBatch is SolveBatch with the per-slot errors kept individually (and
-// unwrapped), for callers — the micro-batcher, the serving layer — that
-// answer each request to a different consumer.
-func (s *Solver) solveBatch(ctx context.Context, reqs []Request) ([]*Result, []error) {
-	return s.solveBatchTraced(ctx, reqs, nil)
-}
-
-// solveBatchTraced is solveBatch with per-request trace sets: when traces
-// is non-nil, traces[i] holds the obs traces following request i, and each
-// deduplicated group's solve runs under the union of its members' traces —
-// so a submission answered by a leader it never met still sees the stages
-// of the solve that produced its result. With traces == nil, every group
-// solves under ctx unchanged.
-func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces [][]*obs.Trace) ([]*Result, []error) {
-	results := make([]*Result, len(reqs))
-	errs := make([]error, len(reqs))
+// solveBatchTraced is SolveBatch with the per-slot errors kept
+// individually (and unwrapped), for the micro-batcher, which answers each
+// request to a different consumer, and with per-request trace sets: when
+// traces is non-nil, traces[i] holds the obs traces following request i,
+// and each deduplicated group's solve runs under the union of its
+// members' traces — so a submission answered by a leader it never met
+// still sees the stages of the solve that produced its result. With
+// traces == nil, every group solves under ctx unchanged. groups is the
+// number of deduplicated problems the batch solved (cache hits included).
+func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces [][]*obs.Trace) (results []*Result, errs []error, groups int) {
+	results = make([]*Result, len(reqs))
+	errs = make([]error, len(reqs))
 
 	// Deduplicate by cache key: one solve per distinct problem.
-	groups := make(map[string]*group, len(reqs))
+	byKey := make(map[string]*group, len(reqs))
 	order := make([]*group, 0, len(reqs))
 	prepared := make([]Request, len(reqs))
 	for i, req := range reqs {
@@ -579,10 +575,10 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 		}
 		prepared[i] = p
 		key := p.cacheKey()
-		g, ok := groups[key]
+		g, ok := byKey[key]
 		if !ok {
 			g = &group{leader: i, key: key}
-			groups[key] = g
+			byKey[key] = g
 			order = append(order, g)
 		}
 		g.indices = append(g.indices, i)
@@ -659,7 +655,7 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 	close(jobs)
 	wg.Wait()
 
-	return results, errs
+	return results, errs, len(order)
 }
 
 // chainScenario reports whether a prepared request is chain-shaped — its
@@ -668,8 +664,9 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 // pipeline in float64 — and derives its send order. The order derivations
 // deliberately mirror the strategies in strategy.go (and OptimalLIFOEval
 // in internal/core); TestSolveBatchChainPrepassMatchesSolve pins the two
-// paths to identical results for every strategy listed here, so a drift
-// in either side fails the suite.
+// paths to bit-identical throughput, loads and makespan for every
+// strategy listed here under both port models, so a drift in either side
+// — order or floating-point rounding — fails the suite.
 func chainScenario(req Request) (send Order, lifo, ok bool) {
 	if req.Eval != EvalAuto || req.Arith != Float64 {
 		return nil, false, false
@@ -837,11 +834,12 @@ type StreamResult struct {
 // travelling alone — nothing else in flight, so the window could not buy
 // company — skips the window and solves directly: sparse or sequential
 // streams pay no batching latency. At most WithParallelism requests are
-// in flight at once, as before the batcher. Results are identical on
-// either path — the prepass is pinned byte-identical to Solve — and the
-// output stays deterministic. The output channel closes after the last
-// result once reqs is closed. The caller must drain the output channel;
-// cancelling ctx makes remaining requests fail fast with ctx.Err().
+// in flight at once, as before the batcher. Results are bit-identical on
+// either path (the chain prepass rounds exactly as Solve does; see
+// chainScenario) and the output stays deterministic. The output channel
+// closes after the last result once reqs is closed. The caller must
+// drain the output channel; cancelling ctx makes remaining requests fail
+// fast with ctx.Err().
 func (s *Solver) SolveStream(ctx context.Context, reqs <-chan Request) <-chan StreamResult {
 	out := make(chan StreamResult, s.parallelism)
 	done := make(chan StreamResult, s.parallelism)

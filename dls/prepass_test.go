@@ -27,12 +27,43 @@ func prepassRequests(rng *rand.Rand, platforms int) []Request {
 	return reqs
 }
 
+// chainCoverRequests builds, for every model and §5.3 platform family,
+// one request per strategy shape chainScenario accepts — fixed FIFO
+// orders, the optimal LIFO, explicit FIFO/LIFO send orders and FIFO or
+// reversed scenarios — with a Load so Makespan is exercised too.
+func chainCoverRequests(rng *rand.Rand, perFamily int) []Request {
+	var reqs []Request
+	for _, model := range []Model{OnePort, TwoPort} {
+		for _, fam := range []Family{Homogeneous, HomCommHeteroComp, Heterogeneous} {
+			for i := 0; i < perFamily; i++ {
+				p := RandomSpeeds(rng, 3+i%6, fam).Platform(DefaultApp(100))
+				for _, r := range []Request{
+					{Strategy: StrategyIncC},
+					{Strategy: StrategyIncW},
+					{Strategy: StrategyDecC},
+					{Strategy: StrategyLIFO},
+					{Strategy: StrategyFIFOOrder, Send: p.ByW()},
+					{Strategy: StrategyLIFOOrder, Send: p.ByW()},
+					{Strategy: StrategyScenario, Send: p.ByCDesc(), Return: p.ByCDesc()},
+					{Strategy: StrategyScenario, Send: p.ByC(), Return: p.ByC().Reverse()},
+				} {
+					r.Platform, r.Model, r.Load = p, model, 500
+					reqs = append(reqs, r)
+				}
+			}
+		}
+	}
+	return reqs
+}
+
 // TestSolveBatchChainPrepassMatchesSolve: every request of a batch that
-// the SoA chain prepass answers must carry the same throughput and loads
-// as an individual Solve of the same request (which runs the strategy).
+// the SoA chain prepass answers must carry, bit for bit, the throughput,
+// loads and makespan of an individual Solve of the same request (which
+// runs the strategy) — otherwise a served answer would depend on what
+// else shared its admission window.
 func TestSolveBatchChainPrepassMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(8080))
-	reqs := prepassRequests(rng, 4)
+	reqs := append(prepassRequests(rng, 4), chainCoverRequests(rng, 40)...)
 	solver, err := NewSolver(WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
@@ -41,10 +72,14 @@ func TestSolveBatchChainPrepassMatchesSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if solver.Stats().PrepassGroups == 0 {
+		t.Fatal("no request took the chain prepass")
+	}
 	single, err := NewSolver()
 	if err != nil {
 		t.Fatal(err)
 	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for i, req := range reqs {
 		want, err := single.Solve(context.Background(), req)
 		if err != nil {
@@ -54,20 +89,24 @@ func TestSolveBatchChainPrepassMatchesSolve(t *testing.T) {
 		if got == nil {
 			t.Fatalf("request %d: no batch result", i)
 		}
-		if math.Abs(got.Throughput-want.Throughput) > 1e-9*(1+got.Throughput+want.Throughput) {
-			t.Errorf("request %d (%s): batch throughput %.12g != solve %.12g", i, req.Strategy, got.Throughput, want.Throughput)
-		}
 		if got.Schedule == nil || want.Schedule == nil {
 			t.Fatalf("request %d: missing schedule", i)
 		}
+		if !same(got.Throughput, want.Throughput) {
+			t.Errorf("request %d (%s, p=%d): batch throughput %.17g != solve %.17g",
+				i, req.Strategy, req.Platform.P(), got.Throughput, want.Throughput)
+		}
+		if len(got.Schedule.Alpha) != len(want.Schedule.Alpha) {
+			t.Fatalf("request %d: %d loads, solve has %d", i, len(got.Schedule.Alpha), len(want.Schedule.Alpha))
+		}
 		for w := range want.Schedule.Alpha {
-			if diff := got.Schedule.Alpha[w] - want.Schedule.Alpha[w]; math.Abs(diff) > 1e-9*(1+want.Throughput) {
-				t.Errorf("request %d (%s): load of worker %d: batch %.12g != solve %.12g",
+			if !same(got.Schedule.Alpha[w], want.Schedule.Alpha[w]) {
+				t.Errorf("request %d (%s): load of worker %d: batch %.17g != solve %.17g",
 					i, req.Strategy, w, got.Schedule.Alpha[w], want.Schedule.Alpha[w])
 			}
 		}
-		if req.Load > 0 && math.Abs(got.Makespan-want.Makespan) > 1e-9*(1+want.Makespan) {
-			t.Errorf("request %d: batch makespan %.12g != solve %.12g", i, got.Makespan, want.Makespan)
+		if !same(got.Makespan, want.Makespan) {
+			t.Errorf("request %d (%s): batch makespan %.17g != solve %.17g", i, req.Strategy, got.Makespan, want.Makespan)
 		}
 	}
 }

@@ -66,8 +66,8 @@ type Stage struct {
 const initialStageCap = 8
 
 // Trace is one in-flight request's span recorder. It is safe for
-// concurrent use: the admission batcher's collector, a drain worker and
-// the HTTP handler may all record into it.
+// concurrent use: the admission batcher's flush, a drain worker and the
+// HTTP handler may all record into it.
 type Trace struct {
 	mu       sync.Mutex
 	id       string

@@ -43,7 +43,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	// Admission micro-batcher.
 	bs := s.batcher.Stats()
-	m.Gauge("dlsd_queue_depth", "Admitted requests waiting to join a window.", float64(bs.QueueDepth))
+	m.Gauge("dlsd_queue_depth", "Admitted requests in flushed windows not yet answered.", float64(bs.QueueDepth))
 	m.Gauge("dlsd_window_fill", "Requests in the currently filling window.", float64(bs.WindowFill))
 	m.Histogram("dlsd_window_size", "Flushed admission-window sizes.", s.windowSizes)
 	m.Gauge("dlsd_retry_after_seconds", "Current drain-rate-derived Retry-After advisory for 429s.", s.retryAfter().Seconds())

@@ -30,8 +30,8 @@ type Config struct {
 	// WindowSize flushes a window early once it holds this many requests.
 	// Default 64.
 	WindowSize int
-	// QueueCap bounds the admission queue; requests beyond it are shed
-	// with 429. Default 1024.
+	// QueueCap bounds the requests admitted and not yet answered;
+	// requests beyond it are shed with 429. Default 1024.
 	QueueCap int
 	// Workers bounds how many flushed windows solve concurrently.
 	// Default 2.
@@ -248,8 +248,10 @@ func (s *Server) solveStatus(err error) int {
 }
 
 // observeFlush records each flushed window for /metrics and for the
-// drain-rate estimate behind Retry-After. Called from the collector
-// goroutine; the mutex is held only for a few arithmetic operations.
+// drain-rate estimate behind Retry-After. Called under the batcher's
+// admission lock by whichever goroutine flushed the window (a submitting
+// handler or the window timer); the mutex is held only for a few
+// arithmetic operations.
 func (s *Server) observeFlush(n int) {
 	s.windowSizes.Observe(float64(n))
 	now := s.now()
@@ -280,10 +282,10 @@ func (s *Server) now() time.Time {
 }
 
 // retryAfter derives the 429 advisory delay from the observed drain
-// rate: the queued requests fill queueDepth/flushSize windows, and the
-// batcher has been flushing one window every flushInterval — so that
-// many intervals (plus one for the retry itself) is when capacity
-// plausibly frees up. Before any flush is observed (cold start, or
+// rate: the requests in flushed, unanswered windows (the batcher's
+// QueueDepth) fill queueDepth/flushSize windows, and the batcher has
+// been flushing one window every flushInterval — so that many intervals
+// (plus one for the retry itself) is when capacity plausibly frees up. Before any flush is observed (cold start, or
 // batching disabled) it falls back to the configured constant.
 func (s *Server) retryAfter() time.Duration {
 	s.flushMu.Lock()

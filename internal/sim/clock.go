@@ -94,8 +94,8 @@ func (c *Clock) NextTimer() (time.Time, bool) {
 // WaitTimers blocks until at least n timers are pending or the (real)
 // timeout elapses, reporting whether the count was reached. It is the
 // synchronization hook tests need when the goroutine-mode Batcher runs
-// on a virtual clock: wait for the collector to arm the window timer,
-// then Advance deterministically.
+// on a virtual clock: wait for Submit to arm the window timer, then
+// Advance deterministically.
 func (c *Clock) WaitTimers(n int, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	wake := time.AfterFunc(timeout, func() {
