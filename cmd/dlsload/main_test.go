@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -205,7 +206,12 @@ func TestRunClassifiesInjectedAndShed(t *testing.T) {
 		"-duration", "300ms",
 		"-concurrency", "4",
 		"-platforms", "2",
-		"-retries", "-1", // disable retries: classify the raw responses
+		// Disable retries and breakers: classify the raw responses. With
+		// four workers, failure reports can overtake the 429 reports that
+		// separate them, and a breaker opened that way would short-circuit
+		// the rest of the run.
+		"-retries", "-1",
+		"-breaker-threshold", "-1",
 		"-json", out,
 	}, &buf)
 	if err != nil {
@@ -234,9 +240,14 @@ func TestRunClassifiesInjectedAndShed(t *testing.T) {
 // recovers drives the breaker through a full open -> half-open -> close
 // cycle, which -min-breaker-cycles certifies.
 func TestRunBreakerCycle(t *testing.T) {
+	// Each worker has at most one outcome in flight, so up to workers-1
+	// failure reports can land after the first success resets the count.
+	// Failing threshold+workers-1 requests guarantees threshold
+	// consecutive failure reports whatever the scheduling.
+	const threshold, workers = 5, 2
 	var n atomic.Uint64
 	ts := chaosReplica(t, func(w http.ResponseWriter, r *http.Request) {
-		if n.Add(1) <= 5 {
+		if n.Add(1) <= threshold+workers-1 {
 			http.Error(w, "warming up", http.StatusInternalServerError)
 			return
 		}
@@ -247,9 +258,9 @@ func TestRunBreakerCycle(t *testing.T) {
 	err := run([]string{
 		"-url", ts.URL,
 		"-duration", "500ms",
-		"-concurrency", "2",
+		"-concurrency", strconv.Itoa(workers),
 		"-platforms", "2",
-		"-breaker-threshold", "5",
+		"-breaker-threshold", strconv.Itoa(threshold),
 		"-breaker-cooldown", "20ms",
 		"-min-breaker-cycles", "1",
 	}, &buf)
