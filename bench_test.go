@@ -412,37 +412,26 @@ func reportPairPruning(b *testing.B, before, after core.PairStats) {
 	}
 }
 
-// BenchmarkBestPairExhaustive5 compares the two pair-search algorithms at
-// p = 5 under the auto backend: the flat double loop (send-prefix reuse +
-// whole-inner-loop SendBound pruning, the PR 3 search) against the
-// branch-and-bound recursion over return-order prefixes. The acceptance
-// criterion of the search-core refactor is bb ≥ 3× faster than flat here.
+// BenchmarkBestPairExhaustive5 runs the pair search at p = 5 under the
+// auto backend: incumbent seeding plus the branch-and-bound recursion over
+// return-order prefixes, with its pruning counters as metrics.
 func BenchmarkBestPairExhaustive5(b *testing.B) {
 	p := benchPairPlatform(5)
 	ctx := context.Background()
-	for _, tc := range []struct {
-		name string
-		algo core.PairAlgo
-	}{{"flat", core.PairFlat}, {"bb", core.PairBB}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var rho float64
-			before := core.PairStatsSnapshot()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pr, err := core.BestPairExhaustiveAlgo(ctx, p, schedule.OnePort, eval.Auto, tc.algo)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rho = pr.Schedule.Throughput()
-			}
-			b.StopTimer()
-			b.ReportMetric(rho, "rho")
-			if tc.algo == core.PairBB {
-				reportPairPruning(b, before, core.PairStatsSnapshot())
-			}
-		})
+	var rho float64
+	before := core.PairStatsSnapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr, err := core.BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.Auto)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rho = pr.Schedule.Throughput()
 	}
+	b.StopTimer()
+	b.ReportMetric(rho, "rho")
+	reportPairPruning(b, before, core.PairStatsSnapshot())
 }
 
 // benchPairParallel runs the pair branch-and-bound on p at the given
@@ -450,7 +439,7 @@ func BenchmarkBestPairExhaustive5(b *testing.B) {
 // every parallel result bitwise against the serial one — the scaling curve
 // in BENCH_pr7.json is only meaningful if the work done is identical.
 func benchPairParallel(b *testing.B, p *dls.Platform, workers []int) {
-	serial, err := core.BestPairExhaustiveAlgo(context.Background(), p, schedule.OnePort, eval.Auto, core.PairBB)
+	serial, err := core.BestPairExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -463,7 +452,7 @@ func benchPairParallel(b *testing.B, p *dls.Platform, workers []int) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pr, err := core.BestPairExhaustiveAlgo(ctx, p, schedule.OnePort, eval.Auto, core.PairBB)
+				pr, err := core.BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.Auto)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -621,9 +610,10 @@ func BenchmarkTheorem2BusClosedForm(b *testing.B) {
 		}
 	})
 	b.Run("linear-program", func(b *testing.B) {
+		req := dls.Request{Platform: p, Strategy: dls.StrategyFIFO}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := dls.OptimalFIFO(p, dls.Float64); err != nil {
+			if _, err := dls.Solve(context.Background(), req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -647,9 +637,10 @@ func BenchmarkAblationArithmetic(b *testing.B) {
 		arith dls.Arith
 	}{{"float64", dls.Float64}, {"exact-rational", dls.Exact}} {
 		b.Run(tc.name, func(b *testing.B) {
+			req := dls.Request{Platform: p, Strategy: dls.StrategyFIFO, Arith: tc.arith}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := dls.OptimalFIFO(p, tc.arith); err != nil {
+				if _, err := dls.Solve(context.Background(), req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -666,10 +657,11 @@ func BenchmarkAblationRounding(b *testing.B) {
 	app := dls.DefaultApp(100)
 	sp := dls.RandomSpeeds(rng, 11, dls.Heterogeneous)
 	plat := sp.Platform(app)
-	sched, err := dls.OptimalFIFO(plat, dls.Float64)
+	res, err := dls.Solve(context.Background(), dls.Request{Platform: plat, Strategy: dls.StrategyFIFO})
 	if err != nil {
 		b.Fatal(err)
 	}
+	sched := res.Schedule
 	const M = 1000
 	predicted := dls.MakespanForLoad(sched, M)
 
@@ -741,39 +733,24 @@ func BenchmarkAblationDiscipline(b *testing.B) {
 	rng := rand.New(rand.NewSource(52))
 	sp := dls.RandomSpeeds(rng, 5, dls.Heterogeneous)
 	p := sp.Platform(dls.DefaultApp(200))
-	b.Run("optimal-fifo", func(b *testing.B) {
-		var rho float64
-		for i := 0; i < b.N; i++ {
-			s, err := dls.OptimalFIFO(p, dls.Float64)
-			if err != nil {
-				b.Fatal(err)
+	for _, tc := range []struct{ name, strategy string }{
+		{"optimal-fifo", dls.StrategyFIFO},
+		{"optimal-lifo", dls.StrategyLIFO},
+		{"best-pair-exhaustive", dls.StrategyPairExhaustive},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			req := dls.Request{Platform: p, Strategy: tc.strategy}
+			var rho float64
+			for i := 0; i < b.N; i++ {
+				res, err := dls.Solve(context.Background(), req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rho = res.Throughput
 			}
-			rho = s.Throughput()
-		}
-		b.ReportMetric(rho, "units/s")
-	})
-	b.Run("optimal-lifo", func(b *testing.B) {
-		var rho float64
-		for i := 0; i < b.N; i++ {
-			s, err := dls.OptimalLIFO(p, dls.Float64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rho = s.Throughput()
-		}
-		b.ReportMetric(rho, "units/s")
-	})
-	b.Run("best-pair-exhaustive", func(b *testing.B) {
-		var rho float64
-		for i := 0; i < b.N; i++ {
-			pr, err := dls.BestPairExhaustive(p, dls.OnePort, dls.Float64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rho = pr.Schedule.Throughput()
-		}
-		b.ReportMetric(rho, "units/s")
-	})
+			b.ReportMetric(rho, "units/s")
+		})
+	}
 }
 
 // BenchmarkAblationOnePortPenalty reports the throughput cost of the

@@ -163,36 +163,13 @@ type Stats struct {
 // activity. The counters are process-global atomics shared by all solvers;
 // they make the bound's pruning effectiveness observable in production
 // (dlsd re-exports them on /metrics as dlsd_pair_search_*).
-type PairSearchStats struct {
-	// OuterPruned counts send orders whose entire return-order tree was
-	// discarded by the root bound before expansion.
-	OuterPruned uint64
-	// NodesExpanded counts branch-and-bound nodes whose children were
-	// generated.
-	NodesExpanded uint64
-	// SubtreesPruned counts subtrees cut by the return-prefix bound.
-	SubtreesPruned uint64
-	// LeavesEvaluated counts complete return orders whose throughput was
-	// actually computed.
-	LeavesEvaluated uint64
-}
+type PairSearchStats = core.PairStats
 
 // AffineSearchStats counts the affine subset search's lattice
 // branch-and-bound activity. The counters are process-global atomics
 // shared by all solvers; dlsd re-exports them on /metrics as
 // dlsd_affine_search_*.
-type AffineSearchStats struct {
-	// NodesExpanded counts interior lattice nodes whose include/exclude
-	// children were generated.
-	NodesExpanded uint64
-	// SubtreesPruned counts half-lattices cut against the incumbent.
-	SubtreesPruned uint64
-	// LeavesEvaluated counts participant subsets whose scenario LP was
-	// actually solved (the flat loop counts every non-empty mask).
-	LeavesEvaluated uint64
-	// BoundSolves counts relaxation LPs solved on exclude edges.
-	BoundSolves uint64
-}
+type AffineSearchStats = core.AffineStats
 
 // Solver is the scheduling engine: it resolves requests against the
 // strategy registry, optionally memoizes results in an LRU cache, bounds
@@ -362,20 +339,8 @@ func (s *Solver) Stats() Stats {
 	st.DegradedByStrategy = s.degradedBy.Snapshot()
 	st.ShedByClass = s.shedByClass.Snapshot()
 	st.ViolationsByClass = s.violationsByClass.Snapshot()
-	ps := core.PairStatsSnapshot()
-	st.PairSearch = PairSearchStats{
-		OuterPruned:     ps.OuterPruned,
-		NodesExpanded:   ps.NodesExpanded,
-		SubtreesPruned:  ps.SubtreesPruned,
-		LeavesEvaluated: ps.LeavesEvaluated,
-	}
-	as := core.AffineStatsSnapshot()
-	st.AffineSearch = AffineSearchStats{
-		NodesExpanded:   as.NodesExpanded,
-		SubtreesPruned:  as.SubtreesPruned,
-		LeavesEvaluated: as.LeavesEvaluated,
-		BoundSolves:     as.BoundSolves,
-	}
+	st.PairSearch = core.PairStatsSnapshot()
+	st.AffineSearch = core.AffineStatsSnapshot()
 	return st
 }
 
@@ -911,9 +876,8 @@ func (s *Solver) SolveStream(ctx context.Context, reqs <-chan Request) <-chan St
 	return out
 }
 
-// The default solver backs the package-level Solve/SolveBatch helpers and
-// the deprecated free functions: no cache (every call recomputes, matching
-// the historical semantics), parallelism GOMAXPROCS.
+// The default solver backs the package-level Solve/SolveBatch helpers: no
+// cache (every call recomputes), parallelism GOMAXPROCS.
 var (
 	defaultSolverOnce sync.Once
 	defaultSolver     *Solver

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/dls"
+	"repro/internal/core"
 )
 
 func testPlatform() *dls.Platform {
@@ -90,6 +91,12 @@ func TestStrategyRegistry(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("built-in strategy %q not in Strategies()", name)
+		}
+	}
+	// The pair search has one strategy; the backend picks its algorithm.
+	for _, got := range dls.Strategies() {
+		if got == "pair-bb" || got == "pair-flat" {
+			t.Errorf("retired pair-search strategy %q still registered", got)
 		}
 	}
 
@@ -305,11 +312,11 @@ func TestSolveCancellation(t *testing.T) {
 	}
 }
 
-// TestPairSearchStrategies pins the pair-search strategy knob at the
-// engine level: pair-bb and pair-flat must agree with pair-exhaustive on
-// the optimum, pair-bb must reject exact arithmetic, and a WithTimeout
-// deadline must abort a p = 7 pair-bb solve inside the return-order
-// recursion (the search is far too large to finish in a millisecond).
+// TestPairSearchStrategies pins the pair search at the engine level: the
+// exact-arithmetic solve (the unpruned double loop) must agree with the
+// float64 branch-and-bound on the optimum, and a WithTimeout deadline must
+// abort a p = 7 pair-exhaustive solve inside the return-order recursion
+// (the search is far too large to finish in a millisecond).
 func TestPairSearchStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	p := dls.RandomSpeeds(rng, 4, dls.Heterogeneous).Platform(dls.DefaultApp(100))
@@ -319,25 +326,20 @@ func TestPairSearchStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []string{dls.StrategyPairBB, dls.StrategyPairFlat} {
-		res, err := solver.Solve(ctx, dls.Request{Platform: p, Strategy: strat})
-		if err != nil {
-			t.Fatalf("%s: %v", strat, err)
-		}
-		if d := res.Throughput - ref.Throughput; d > 1e-9*(1+ref.Throughput) || d < -1e-9*(1+ref.Throughput) {
-			t.Errorf("%s throughput %.12g != pair-exhaustive %.12g", strat, res.Throughput, ref.Throughput)
-		}
+	exact, err := solver.Solve(ctx, dls.Request{Platform: p, Strategy: dls.StrategyPairExhaustive, Arith: dls.Exact})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := solver.Solve(ctx, dls.Request{Platform: p, Strategy: dls.StrategyPairBB, Arith: dls.Exact}); err == nil {
-		t.Error("pair-bb with exact arithmetic must fail")
+	if d := exact.Throughput - ref.Throughput; d > 1e-9*(1+ref.Throughput) || d < -1e-9*(1+ref.Throughput) {
+		t.Errorf("exact pair-exhaustive throughput %.12g != float64 %.12g", exact.Throughput, ref.Throughput)
 	}
 
 	big := dls.RandomSpeeds(rng, 7, dls.Heterogeneous).Platform(dls.DefaultApp(100))
 	timed := mustSolver(t, dls.WithTimeout(time.Millisecond))
 	start := time.Now()
-	_, err = timed.Solve(ctx, dls.Request{Platform: big, Strategy: dls.StrategyPairBB})
+	_, err = timed.Solve(ctx, dls.Request{Platform: big, Strategy: dls.StrategyPairExhaustive})
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("want context.DeadlineExceeded from the p=7 pair-bb solve, got %v", err)
+		t.Errorf("want context.DeadlineExceeded from the p=7 pair-exhaustive solve, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("cancellation took %v, the recursion is not polling the deadline", elapsed)
@@ -456,7 +458,7 @@ func TestSolveStreamOrdering(t *testing.T) {
 }
 
 // TestEngineCoversOldAPI solves one request per built-in strategy and
-// checks each against its historical free function.
+// checks each against the internal/core entry point it dispatches to.
 func TestEngineCoversOldAPI(t *testing.T) {
 	p := testPlatform()
 	bus := dls.NewBus(0.1, 0.05, 0.4, 0.6, 0.8)
@@ -468,49 +470,39 @@ func TestEngineCoversOldAPI(t *testing.T) {
 
 	type probe struct {
 		req  dls.Request
-		want func() (float64, error) // throughput of the old entrypoint
+		want func() (float64, error) // throughput of the core entry point
+	}
+	schedRho := func(s *dls.Schedule, err error) (float64, error) {
+		if err != nil {
+			return 0, err
+		}
+		return s.Throughput(), nil
 	}
 	probes := map[string]probe{
 		"fifo": {dls.Request{Platform: p, Strategy: dls.StrategyFIFO}, func() (float64, error) {
-			s, err := dls.OptimalFIFO(p, dls.Float64)
-			if err != nil {
-				return 0, err
-			}
-			return s.Throughput(), nil
+			return schedRho(core.OptimalFIFO(p, dls.Float64))
 		}},
 		"fifo-two-port": {dls.Request{Platform: p, Strategy: dls.StrategyFIFO, Model: dls.TwoPort}, func() (float64, error) {
-			s, err := dls.OptimalFIFOTwoPort(p, dls.Float64)
-			if err != nil {
-				return 0, err
-			}
-			return s.Throughput(), nil
+			return schedRho(core.OptimalFIFOTwoPort(p, dls.Float64))
 		}},
 		"lifo": {dls.Request{Platform: p, Strategy: dls.StrategyLIFO}, func() (float64, error) {
-			s, err := dls.OptimalLIFO(p, dls.Float64)
-			if err != nil {
-				return 0, err
-			}
-			return s.Throughput(), nil
+			return schedRho(core.OptimalLIFO(p, dls.Float64))
 		}},
 		"scenario": {dls.Request{Platform: p, Strategy: dls.StrategyScenario, Send: order, Return: rev}, func() (float64, error) {
-			s, err := dls.SolveScenario(p, order, rev, dls.OnePort, dls.Float64)
-			if err != nil {
-				return 0, err
-			}
-			return s.Throughput(), nil
+			return schedRho(core.SolveScenario(p, order, rev, dls.OnePort, dls.Float64))
 		}},
 		"bus-fifo": {dls.Request{Platform: bus, Strategy: dls.StrategyBusFIFO}, func() (float64, error) {
 			return dls.BusFIFOThroughput(bus)
 		}},
 		"pair-exhaustive": {dls.Request{Platform: p, Strategy: dls.StrategyPairExhaustive}, func() (float64, error) {
-			pr, err := dls.BestPairExhaustive(p, dls.OnePort, dls.Float64)
+			pr, err := core.BestPairExhaustiveEval(ctx, p, dls.OnePort, dls.EvalAuto)
 			if err != nil {
 				return 0, err
 			}
 			return pr.Schedule.Throughput(), nil
 		}},
 		"fifo-affine": {dls.Request{Platform: p, Strategy: dls.StrategyFIFOAffine, Affine: &aff}, func() (float64, error) {
-			ar, err := dls.BestFIFOAffine(p, aff, dls.Float64)
+			ar, err := core.BestFIFOAffineContext(ctx, p, aff, dls.Float64)
 			if err != nil {
 				return 0, err
 			}
@@ -525,11 +517,11 @@ func TestEngineCoversOldAPI(t *testing.T) {
 		}
 		want, err := pr.want()
 		if err != nil {
-			t.Errorf("%s (old API): %v", name, err)
+			t.Errorf("%s (core): %v", name, err)
 			continue
 		}
 		if diff := res.Throughput - want; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("%s: engine throughput %g != old API %g", name, res.Throughput, want)
+			t.Errorf("%s: engine throughput %g != core %g", name, res.Throughput, want)
 		}
 	}
 

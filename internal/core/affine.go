@@ -26,7 +26,8 @@ import (
 // the right-hand sides), but resource selection becomes the hard part: an
 // enrolled worker consumes its latencies even with α = 0, and the paper
 // cites Legrand, Yang and Casanova for the NP-hardness of the affine
-// star problem. BestFIFOAffine therefore enumerates participant subsets.
+// star problem. BestFIFOAffineContext therefore enumerates participant
+// subsets.
 
 // Affine holds the per-worker fixed costs of the affine model, aligned
 // with the platform's worker indices. Zero values reduce the model to the
@@ -146,7 +147,7 @@ type AffineResult struct {
 // SolveScenarioAffine computes the optimal loads of an affine-model
 // scenario. Unlike the linear model, zero-α workers are NOT pruned: their
 // fixed costs have already been charged by enrolling them, so the caller
-// (and BestFIFOAffine) must treat the enrolled set as given.
+// (and BestFIFOAffineContext) must treat the enrolled set as given.
 func SolveScenarioAffine(p *platform.Platform, aff Affine, send, ret platform.Order, model schedule.Model, arith Arith) (*AffineResult, error) {
 	prob, err := ScenarioLPAffine(p, aff, send, ret, model)
 	if err != nil {
@@ -191,43 +192,14 @@ func SolveScenarioAffine(p *platform.Platform, aff Affine, send, ret platform.Or
 	return res, nil
 }
 
-// maxAffineSubsets bounds the 2^p subset search of BestFIFOAffine. The cap
-// rose from 16 to 20 when the branch-and-bound lattice search replaced the
-// flat mask loop: the drop-the-fixed-costs bound prunes whole half-lattices,
-// so the explored subset count stays far below 2^p on float64 backends.
+// maxAffineSubsets bounds the 2^p subset search of BestFIFOAffineContext.
+// The cap rose from 16 to 20 when the branch-and-bound lattice search
+// replaced the flat mask loop: the drop-the-fixed-costs bound prunes whole
+// half-lattices, so the explored subset count stays far below 2^p on
+// float64 backends.
 // Exact-rational searches still run the unpruned flat loop (float bounds
 // cannot certify exact comparisons) and pay the full 2^p exact solves.
 const maxAffineSubsets = 20
-
-// AffineAlgo selects how BestFIFOAffine explores the participant-subset
-// lattice.
-type AffineAlgo int
-
-const (
-	// AffineAuto picks the branch-and-bound lattice search for float64
-	// arithmetic and the flat subset loop under Exact (whose exact
-	// comparisons the float64 bounds cannot certify).
-	AffineAuto AffineAlgo = iota
-	// AffineBB forces the branch-and-bound over include/exclude decisions.
-	AffineBB
-	// AffineFlat forces the flat 2^p mask loop (the original search,
-	// retained for agreement testing and as the exact-arithmetic path).
-	AffineFlat
-)
-
-// String names the algorithm ("auto", "bb", "flat").
-func (a AffineAlgo) String() string {
-	switch a {
-	case AffineAuto:
-		return "auto"
-	case AffineBB:
-		return "bb"
-	case AffineFlat:
-		return "flat"
-	default:
-		return fmt.Sprintf("AffineAlgo(%d)", int(a))
-	}
-}
 
 // AffineStats is a snapshot of the affine subset searches' cumulative
 // instrumentation, kept as process-global atomics like PairStats (searches
@@ -268,28 +240,16 @@ func AffineStatsSnapshot() AffineStats {
 	}
 }
 
-// BestFIFOAffine searches for the best one-port FIFO schedule under the
-// affine model: workers are kept in non-decreasing-c order (the linear
-// model's Theorem 1 order, a heuristic here) and the participant subsets
-// are searched exhaustively, since with fixed costs the optimal enrolled
-// set is no longer given by the LP's support — the problem the paper cites
-// as NP-hard. Limited to p ≤ 20.
-func BestFIFOAffine(p *platform.Platform, aff Affine, arith Arith) (*AffineResult, error) {
-	return BestFIFOAffineContext(context.Background(), p, aff, arith)
-}
-
-// BestFIFOAffineContext is BestFIFOAffine with cancellation and — through
-// ContextWithSearchParallelism — a parallel lattice search. It runs
-// AffineAuto: branch-and-bound for float64, the flat loop for Exact.
+// BestFIFOAffineContext searches for the best one-port FIFO schedule
+// under the affine model: workers are kept in non-decreasing-c order (the
+// linear model's Theorem 1 order, a heuristic here) and the participant
+// subsets are searched exhaustively, since with fixed costs the optimal
+// enrolled set is no longer given by the LP's support — the problem the
+// paper cites as NP-hard. Limited to p ≤ 20. The search is cancellable
+// and — through ContextWithSearchParallelism — parallel. Float64 runs the
+// lattice branch-and-bound; Exact runs the flat 2^p loop, whose exact
+// comparisons no float64 bound could certify.
 func BestFIFOAffineContext(ctx context.Context, p *platform.Platform, aff Affine, arith Arith) (*AffineResult, error) {
-	return BestFIFOAffineAlgo(ctx, p, aff, arith, AffineAuto)
-}
-
-// BestFIFOAffineAlgo is BestFIFOAffineContext with an explicit search
-// algorithm, for agreement tests and benchmarks. Both algorithms share the
-// scenario LP formulation and the (throughput, lex-min order) tie rule, so
-// they return byte-identical winners.
-func BestFIFOAffineAlgo(ctx context.Context, p *platform.Platform, aff Affine, arith Arith, algo AffineAlgo) (*AffineResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -299,22 +259,6 @@ func BestFIFOAffineAlgo(ctx context.Context, p *platform.Platform, aff Affine, a
 	n := p.P()
 	if n > maxAffineSubsets {
 		return nil, fmt.Errorf("core: affine subset search limited to %d workers, platform has %d", maxAffineSubsets, n)
-	}
-	switch algo {
-	case AffineAuto:
-		if arith == Exact {
-			algo = AffineFlat
-		} else {
-			algo = AffineBB
-		}
-	case AffineBB:
-		if arith == Exact {
-			return nil, fmt.Errorf("core: affine branch-and-bound needs float64 arithmetic (float bounds cannot certify exact comparisons)")
-		}
-	case AffineFlat:
-		// Always available.
-	default:
-		return nil, fmt.Errorf("core: unknown affine-search algorithm %v", algo)
 	}
 	winner := newSearchCore(ctx)
 	sorted := p.ByC()
@@ -326,11 +270,13 @@ func BestFIFOAffineAlgo(ctx context.Context, p *platform.Platform, aff Affine, a
 	if traced {
 		before = AffineStatsSnapshot()
 	}
+	algo := "bb"
 	var err error
-	if algo == AffineBB {
-		err = affineSearchBB(ctx, winner, p, aff, sorted)
-	} else {
+	if arith == Exact {
+		algo = "flat"
 		err = affineSearchFlat(winner, p, aff, arith, sorted)
+	} else {
+		err = affineSearchBB(ctx, winner, p, aff, sorted)
 	}
 	if err != nil {
 		return nil, err
@@ -339,7 +285,7 @@ func BestFIFOAffineAlgo(ctx context.Context, p *platform.Platform, aff Affine, a
 		after := AffineStatsSnapshot()
 		obs.StageAt(ctx, 1, "search", t0, obs.Now(ctx),
 			obs.String("kind", "affine-subset"),
-			obs.String("algo", algo.String()),
+			obs.String("algo", algo),
 			obs.Int("workers", searchParallelism(ctx)),
 			obs.Uint64("nodes", after.NodesExpanded-before.NodesExpanded),
 			obs.Uint64("pruned", after.SubtreesPruned-before.SubtreesPruned),
@@ -449,7 +395,8 @@ func solveAffineRho(prob *lp.Problem, arith Arith, q int) (float64, bool, error)
 
 // affineSearchFlat is the flat 2^p loop: every non-empty mask ascending,
 // one scenario LP each, feasible results offered to the core under the
-// shared tie rule. The order scratch is reused across masks and the
+// shared tie rule. It is the Exact path and the tests' reference for the
+// branch-and-bound. The order scratch is reused across masks and the
 // context is polled on the core's throttled counter.
 func affineSearchFlat(core *searchCore, p *platform.Platform, aff Affine, arith Arith, sorted platform.Order) error {
 	n := p.P()

@@ -86,7 +86,7 @@ func TestAffineResourceSelectionShrinksWithLatency(t *testing.T) {
 		for i := range aff.In {
 			aff.In[i], aff.Out[i] = lat, lat/2
 		}
-		best, err := BestFIFOAffine(p, aff, Float64)
+		best, err := BestFIFOAffineContext(context.Background(), p, aff, Float64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestAffineBestSubsetBeatsFullEnrollment(t *testing.T) {
 	)
 	aff := ZeroAffine(2)
 	aff.In[1], aff.Out[1] = 0.3, 0.3
-	best, err := BestFIFOAffine(p, aff, Float64)
+	best, err := BestFIFOAffineContext(context.Background(), p, aff, Float64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,15 +151,15 @@ func TestAffineValidation(t *testing.T) {
 		t.Error("unknown arithmetic must be rejected")
 	}
 	big := randomStar(rand.New(rand.NewSource(203)), maxAffineSubsets+1, 0.5)
-	if _, err := BestFIFOAffine(big, ZeroAffine(maxAffineSubsets+1), Float64); err == nil {
+	if _, err := BestFIFOAffineContext(context.Background(), big, ZeroAffine(maxAffineSubsets+1), Float64); err == nil {
 		t.Error("oversized affine search must be rejected")
 	}
-	if _, err := BestFIFOAffine(platform.New(), Affine{}, Float64); err == nil {
+	if _, err := BestFIFOAffineContext(context.Background(), platform.New(), Affine{}, Float64); err == nil {
 		t.Error("invalid platform must be rejected")
 	}
 	mismatch := ZeroAffine(2)
-	if _, err := BestFIFOAffine(p, mismatch, Float64); err == nil {
-		t.Error("dimension mismatch must be rejected in BestFIFOAffine")
+	if _, err := BestFIFOAffineContext(context.Background(), p, mismatch, Float64); err == nil {
+		t.Error("dimension mismatch must be rejected in BestFIFOAffineContext")
 	}
 }
 
@@ -239,10 +239,25 @@ func randomAffine(rng *rand.Rand, n int, scale float64) Affine {
 	return aff
 }
 
+// affineFlat runs the flat 2^p loop in float64 and re-solves the winner
+// exactly like BestFIFOAffineContext: the reference the branch-and-bound
+// must reproduce bit for bit.
+func affineFlat(ctx context.Context, p *platform.Platform, aff Affine) (*AffineResult, error) {
+	winner := newSearchCore(ctx)
+	if err := affineSearchFlat(winner, p, aff, Float64, p.ByC()); err != nil {
+		return nil, err
+	}
+	if len(winner.best) == 0 {
+		return &AffineResult{Alpha: make([]float64, p.P())}, nil
+	}
+	return SolveScenarioAffine(p, aff, winner.best, winner.best, schedule.OnePort, Float64)
+}
+
 // TestAffineBBAgreesWithFlat pins the branch-and-bound byte-identical to
 // the flat loop — same winning subset/order, same throughput bits, same
 // load bits — on 240 random platforms across sizes and cost regimes,
-// serial and parallel.
+// serial and parallel. On the small platforms the Exact search (the flat
+// loop in rational arithmetic) must also agree on the throughput to 1e-9.
 func TestAffineBBAgreesWithFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(206))
 	ctxSerial := context.Background()
@@ -253,12 +268,12 @@ func TestAffineBBAgreesWithFlat(t *testing.T) {
 		scale := []float64{0, 0.02, 0.1, 0.4}[trial%4]
 		aff := randomAffine(rng, n, scale)
 
-		flat, err := BestFIFOAffineAlgo(ctxSerial, p, aff, Float64, AffineFlat)
+		flat, err := affineFlat(ctxSerial, p, aff)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, ctx := range []context.Context{ctxSerial, ctxPar} {
-			bb, err := BestFIFOAffineAlgo(ctx, p, aff, Float64, AffineBB)
+			bb, err := BestFIFOAffineContext(ctx, p, aff, Float64)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,6 +298,20 @@ func TestAffineBBAgreesWithFlat(t *testing.T) {
 				}
 			}
 		}
+		if n > 4 {
+			continue
+		}
+		exact, err := BestFIFOAffineContext(ctxSerial, p, aff, Exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.Feasible != flat.Feasible {
+			t.Fatalf("trial %d: exact feasible=%v, float %v", trial, exact.Feasible, flat.Feasible)
+		}
+		if d := exact.Throughput - flat.Throughput; math.Abs(d) > 1e-9*(1+flat.Throughput) {
+			t.Fatalf("trial %d (n=%d scale=%g): exact ρ=%.12g, float64 bb/flat ρ=%.12g",
+				trial, n, scale, exact.Throughput, flat.Throughput)
+		}
 	}
 }
 
@@ -294,7 +323,7 @@ func TestAffineBBPrunes(t *testing.T) {
 	p := randomStar(rng, 12, 0.5)
 	aff := randomAffine(rng, 12, 0.08)
 	before := AffineStatsSnapshot()
-	if _, err := BestFIFOAffineAlgo(context.Background(), p, aff, Float64, AffineBB); err != nil {
+	if _, err := BestFIFOAffineContext(context.Background(), p, aff, Float64); err != nil {
 		t.Fatal(err)
 	}
 	after := AffineStatsSnapshot()
@@ -311,26 +340,6 @@ func TestAffineBBPrunes(t *testing.T) {
 	}
 }
 
-// TestAffineAlgoValidation covers the algorithm selector's edges.
-func TestAffineAlgoValidation(t *testing.T) {
-	p := platform.New(platform.Worker{C: 1, W: 1, D: 0.5})
-	if _, err := BestFIFOAffineAlgo(context.Background(), p, ZeroAffine(1), Float64, AffineAlgo(9)); err == nil {
-		t.Error("unknown algorithm must be rejected")
-	}
-	if _, err := BestFIFOAffineAlgo(context.Background(), p, ZeroAffine(1), Exact, AffineBB); err == nil {
-		t.Error("forced BB under Exact must be rejected")
-	}
-	res, err := BestFIFOAffineAlgo(context.Background(), p, ZeroAffine(1), Exact, AffineAuto)
-	if err != nil || !res.Feasible {
-		t.Errorf("exact auto search failed: %v %+v", err, res)
-	}
-	for algo, want := range map[AffineAlgo]string{AffineAuto: "auto", AffineBB: "bb", AffineFlat: "flat", AffineAlgo(9): "AffineAlgo(9)"} {
-		if algo.String() != want {
-			t.Errorf("AffineAlgo(%d).String() = %q, want %q", int(algo), algo.String(), want)
-		}
-	}
-}
-
 // TestAffineCancellation checks both paths abort on a cancelled context.
 func TestAffineCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(208))
@@ -338,10 +347,11 @@ func TestAffineCancellation(t *testing.T) {
 	aff := randomAffine(rng, 10, 0.02)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, algo := range []AffineAlgo{AffineFlat, AffineBB} {
-		if _, err := BestFIFOAffineAlgo(ctx, p, aff, Float64, algo); err != context.Canceled {
-			t.Errorf("%v: err = %v, want context.Canceled", algo, err)
-		}
+	if _, err := affineFlat(ctx, p, aff); err != context.Canceled {
+		t.Errorf("flat: err = %v, want context.Canceled", err)
+	}
+	if _, err := BestFIFOAffineContext(ctx, p, aff, Float64); err != context.Canceled {
+		t.Errorf("bb: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -354,7 +364,7 @@ func BenchmarkBestFIFOAffine8(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BestFIFOAffine(p, aff, Float64); err != nil {
+		if _, err := BestFIFOAffineContext(context.Background(), p, aff, Float64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -368,20 +378,28 @@ func BenchmarkBestFIFOAffine12(b *testing.B) {
 	rng := rand.New(rand.NewSource(207))
 	p := randomStar(rng, 12, 0.5)
 	aff := randomAffine(rng, 12, 0.08)
-	for _, algo := range []AffineAlgo{AffineFlat, AffineBB} {
-		b.Run(algo.String(), func(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		search func(context.Context, *platform.Platform, Affine) (*AffineResult, error)
+	}{
+		{"flat", affineFlat},
+		{"bb", func(ctx context.Context, p *platform.Platform, aff Affine) (*AffineResult, error) {
+			return BestFIFOAffineContext(ctx, p, aff, Float64)
+		}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			before := AffineStatsSnapshot()
 			var res *AffineResult
 			for i := 0; i < b.N; i++ {
-				r, err := BestFIFOAffineAlgo(context.Background(), p, aff, Float64, algo)
+				r, err := tc.search(context.Background(), p, aff)
 				if err != nil {
 					b.Fatal(err)
 				}
 				res = r
 			}
 			b.ReportMetric(res.Throughput, "rho")
-			if algo == AffineBB {
+			if tc.name == "bb" {
 				after := AffineStatsSnapshot()
 				leaves := float64(after.LeavesEvaluated-before.LeavesEvaluated) / float64(b.N)
 				pruned := float64(after.SubtreesPruned-before.SubtreesPruned) / float64(b.N)
@@ -403,7 +421,7 @@ func BenchmarkBestFIFOAffine16(b *testing.B) {
 	b.ReportAllocs()
 	var res *AffineResult
 	for i := 0; i < b.N; i++ {
-		r, err := BestFIFOAffineAlgo(context.Background(), p, aff, Float64, AffineBB)
+		r, err := BestFIFOAffineContext(context.Background(), p, aff, Float64)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,14 +22,14 @@ import (
 // and from 7 to 8 (with the order limit moving 8 → 9) when the
 // work-stealing pool spread the searches over all cores and the incremental
 // factorisation cut the per-node bound to O(q²). Exact-rational pair
-// searches keep the historical cap: they run the flat loop with seeding and
-// pruning disabled (float64 bounds cannot certify exact comparisons), so
-// (7!)² exact simplex solves would take days where the fail-fast error
-// takes microseconds.
+// searches keep the historical cap: they run the unpruned, unseeded double
+// loop (float64 bounds cannot certify exact comparisons), so (7!)² exact
+// simplex solves would take days where the fail-fast error takes
+// microseconds.
 const (
 	maxExhaustiveOrder     = 9
 	maxExhaustivePair      = 8
-	maxExhaustivePairExact = 5 // ExactRational: unpruned flat loop only
+	maxExhaustivePairExact = 5 // ExactRational: unpruned double loop only
 )
 
 // pruneSlack is the relative safety margin of the searches' upper-bound
@@ -75,8 +75,8 @@ var disablePairSeeding bool
 // platform, i.e. if the bound silently stopped firing.
 type PairStats struct {
 	// OuterPruned counts send orders whose entire return-order tree was
-	// skipped: the flat search's SendBound prunes and the B&B's root-node
-	// bound prunes land here.
+	// skipped because the branch-and-bound's root-node bound could not
+	// beat the incumbent.
 	OuterPruned uint64
 	// NodesExpanded counts branch-and-bound nodes whose children were
 	// generated (including the per-σ1 roots).
@@ -107,35 +107,6 @@ func PairStatsSnapshot() PairStats {
 		SubtreesPruned:  pairSubtreesPruned.Load(),
 		LeavesEvaluated: pairLeavesEval.Load(),
 	}
-}
-
-// PairAlgo selects how the pair search explores the return-order space of
-// each send order.
-type PairAlgo int
-
-const (
-	// PairAuto picks the branch-and-bound recursion for every float64
-	// backend and the flat double loop under ExactRational (whose exact
-	// comparisons the float64 bounds cannot certify).
-	PairAuto PairAlgo = iota
-	// PairBB forces the branch-and-bound recursion over σ2 prefixes.
-	PairBB
-	// PairFlat forces the flat p!×p! double loop (the PR 3 search,
-	// retained for agreement testing and as the exact-arithmetic path).
-	PairFlat
-)
-
-// String names the algorithm ("auto", "bb", "flat").
-func (a PairAlgo) String() string {
-	switch a {
-	case PairAuto:
-		return "auto"
-	case PairBB:
-		return "bb"
-	case PairFlat:
-		return "flat"
-	}
-	return fmt.Sprintf("PairAlgo(%d)", int(a))
 }
 
 // forEachPermutation invokes fn with every permutation of {0..n-1},
@@ -335,55 +306,18 @@ func mergeWorkers(dst *searchCore, workers []*searchCore) {
 	}
 }
 
-// BestFIFOExhaustive tries every FIFO send order over all workers,
-// evaluating the scenario for each, and returns the best schedule together
-// with the winning order. It is the optimality oracle used to validate
-// Theorem 1 on small platforms, and the fallback when the platform has no
-// common z.
-func BestFIFOExhaustive(p *platform.Platform, model schedule.Model, arith Arith) (*schedule.Schedule, platform.Order, error) {
-	mode, err := evalMode(arith)
-	if err != nil {
-		return nil, nil, err
-	}
-	return BestFIFOExhaustiveEval(context.Background(), p, model, mode)
-}
-
-// BestFIFOExhaustiveContext is BestFIFOExhaustive with cancellation: the
-// factorial search aborts with ctx.Err() as soon as the context is done.
-func BestFIFOExhaustiveContext(ctx context.Context, p *platform.Platform, model schedule.Model, arith Arith) (*schedule.Schedule, platform.Order, error) {
-	mode, err := evalMode(arith)
-	if err != nil {
-		return nil, nil, err
-	}
-	return BestFIFOExhaustiveEval(ctx, p, model, mode)
-}
-
-// BestFIFOExhaustiveEval is the cancellable FIFO order search with an
-// explicit evaluation backend.
+// BestFIFOExhaustiveEval tries every FIFO send order over all workers,
+// evaluating the scenario for each with the given backend, and returns the
+// best schedule together with the winning order. It is the optimality
+// oracle used to validate Theorem 1 on small platforms, and the fallback
+// when the platform has no common z. The factorial search aborts with
+// ctx.Err() as soon as the context is done.
 func BestFIFOExhaustiveEval(ctx context.Context, p *platform.Platform, model schedule.Model, mode eval.Mode) (*schedule.Schedule, platform.Order, error) {
 	return bestOrderExhaustive(ctx, p, model, mode, false)
 }
 
-// BestLIFOExhaustive tries every LIFO send order (results in reverse).
-func BestLIFOExhaustive(p *platform.Platform, model schedule.Model, arith Arith) (*schedule.Schedule, platform.Order, error) {
-	mode, err := evalMode(arith)
-	if err != nil {
-		return nil, nil, err
-	}
-	return BestLIFOExhaustiveEval(context.Background(), p, model, mode)
-}
-
-// BestLIFOExhaustiveContext is BestLIFOExhaustive with cancellation.
-func BestLIFOExhaustiveContext(ctx context.Context, p *platform.Platform, model schedule.Model, arith Arith) (*schedule.Schedule, platform.Order, error) {
-	mode, err := evalMode(arith)
-	if err != nil {
-		return nil, nil, err
-	}
-	return BestLIFOExhaustiveEval(ctx, p, model, mode)
-}
-
-// BestLIFOExhaustiveEval is the cancellable LIFO order search with an
-// explicit evaluation backend.
+// BestLIFOExhaustiveEval is BestFIFOExhaustiveEval over LIFO scenarios:
+// results return in reverse send order.
 func BestLIFOExhaustiveEval(ctx context.Context, p *platform.Platform, model schedule.Model, mode eval.Mode) (*schedule.Schedule, platform.Order, error) {
 	return bestOrderExhaustive(ctx, p, model, mode, true)
 }
@@ -520,54 +454,23 @@ type PairResult struct {
 	Return   platform.Order
 }
 
-// BestPairExhaustive searches every (σ1, σ2) permutation pair over all
-// workers — the general scheduling problem whose complexity the paper
+// BestPairExhaustiveEval searches every (σ1, σ2) permutation pair over
+// all workers — the general scheduling problem whose complexity the paper
 // leaves open (and conjectures NP-hard). Limited to small platforms; used
 // to probe how far the optimal FIFO/LIFO schedules sit from the
-// unrestricted optimum.
-func BestPairExhaustive(p *platform.Platform, model schedule.Model, arith Arith) (*PairResult, error) {
-	return BestPairExhaustiveContext(context.Background(), p, model, arith)
-}
-
-// BestPairExhaustiveContext is BestPairExhaustive with cancellation: the
-// search polls the context throughout — including inside the return-order
-// recursion — and aborts with ctx.Err() once it is done.
-func BestPairExhaustiveContext(ctx context.Context, p *platform.Platform, model schedule.Model, arith Arith) (*PairResult, error) {
-	mode, err := evalMode(arith)
-	if err != nil {
-		return nil, err
-	}
-	return BestPairExhaustiveEval(ctx, p, model, mode)
-}
-
-// BestPairExhaustiveEval is the cancellable pair search with an explicit
-// evaluation backend, exploring with the default algorithm (PairAuto:
-// branch-and-bound for float64 backends, the flat loop under
-// ExactRational).
+// unrestricted optimum. The search polls ctx throughout — including inside
+// the return-order recursion — and aborts with ctx.Err() once it is done.
+//
+// The backend selects the algorithm. Float64 backends seed the incumbent
+// with the FIFO and LIFO return orders of every send permutation
+// (batch-evaluated up front in structure-of-arrays lockstep) and then run
+// the branch-and-bound: return orders are explored as a tree, committing
+// the last returner first, and every subtree whose prefix relaxation
+// (eval.ReturnPrefix) cannot beat the incumbent is discarded.
+// ExactRational runs the unpruned, unseeded double loop instead, since the
+// seeds and the bounds are float64 computations that cannot certify exact
+// comparisons.
 func BestPairExhaustiveEval(ctx context.Context, p *platform.Platform, model schedule.Model, mode eval.Mode) (*PairResult, error) {
-	return BestPairExhaustiveAlgo(ctx, p, model, mode, PairAuto)
-}
-
-// BestPairExhaustiveAlgo is the pair search with an explicit exploration
-// algorithm. Both algorithms share the incumbent seeding (the FIFO and
-// LIFO return orders of every send permutation, batch-evaluated up front
-// in structure-of-arrays lockstep, raise the incumbent before any
-// exploration) and agree on the reported optimum to floating-point noise;
-// they differ in how the p! return orders of a send order are covered:
-//
-//   - PairFlat evaluates every return order against the shared send-prefix
-//     system (eval.Session.FixedSend), skipping whole inner loops whose
-//     send-order relaxation (eval.Session.SendBound) cannot beat the
-//     incumbent;
-//   - PairBB explores return orders as a tree, committing the last
-//     returner first, and discards every subtree whose prefix relaxation
-//     (eval.ReturnPrefix) cannot beat the incumbent — pruning WITHIN inner
-//     loops, which is what lifts the worker ceiling from 5 to 7.
-//
-// Seeding and pruning are disabled under ExactRational, where the seeds
-// and the bounds (float64 computations) could not certify exact
-// comparisons; PairBB is rejected there for the same reason.
-func BestPairExhaustiveAlgo(ctx context.Context, p *platform.Platform, model schedule.Model, mode eval.Mode, algo PairAlgo) (*PairResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -575,29 +478,13 @@ func BestPairExhaustiveAlgo(ctx context.Context, p *platform.Platform, model sch
 	if n > maxExhaustivePair {
 		return nil, fmt.Errorf("core: exhaustive pair search limited to %d workers, platform has %d", maxExhaustivePair, n)
 	}
-	if mode == eval.ExactRational && n > maxExhaustivePairExact {
+	exact := mode == eval.ExactRational
+	if exact && n > maxExhaustivePairExact {
 		return nil, fmt.Errorf("core: exact-rational pair search limited to %d workers (no pruning certifies exact comparisons), platform has %d", maxExhaustivePairExact, n)
-	}
-	switch algo {
-	case PairAuto:
-		if mode == eval.ExactRational {
-			algo = PairFlat
-		} else {
-			algo = PairBB
-		}
-	case PairBB:
-		if mode == eval.ExactRational {
-			return nil, fmt.Errorf("core: pair-bb requires a float64 evaluation backend (the prefix bounds cannot certify exact-rational comparisons); use pair-flat with exact")
-		}
-	case PairFlat:
-		// Always available.
-	default:
-		return nil, fmt.Errorf("core: unknown pair-search algorithm %v", algo)
 	}
 	sess := eval.GetSession()
 	defer sess.Release()
 	winner := newSearchCore(ctx)
-	prune := mode != eval.ExactRational
 	// The pair counters are process-global, so under concurrent solves the
 	// snapshot delta may include another search's nodes; the annotation is a
 	// magnitude indicator, not an exact per-request count.
@@ -607,14 +494,16 @@ func BestPairExhaustiveAlgo(ctx context.Context, p *platform.Platform, model sch
 	if traced {
 		before = PairStatsSnapshot()
 	}
-	if err := seedPairIncumbent(ctx, winner, p, model, n, prune && !disablePairSeeding); err != nil {
+	if err := seedPairIncumbent(ctx, winner, p, model, n, !exact && !disablePairSeeding); err != nil {
 		return nil, err
 	}
+	algo := "bb"
 	var err error
-	if algo == PairBB {
-		err = pairSearchBB(ctx, winner, p, model, mode, n)
+	if exact {
+		algo = "flat"
+		err = pairSearchFlat(winner, sess, p, model, mode, n)
 	} else {
-		err = pairSearchFlat(winner, sess, p, model, mode, n, prune)
+		err = pairSearchBB(ctx, winner, p, model, mode, n)
 	}
 	if err != nil {
 		return nil, err
@@ -623,7 +512,7 @@ func BestPairExhaustiveAlgo(ctx context.Context, p *platform.Platform, model sch
 		after := PairStatsSnapshot()
 		obs.StageAt(ctx, 1, "search", t0, obs.Now(ctx),
 			obs.String("kind", "pair"),
-			obs.String("algo", algo.String()),
+			obs.String("algo", algo),
 			obs.Int("workers", searchParallelism(ctx)),
 			obs.Uint64("nodes", after.NodesExpanded-before.NodesExpanded),
 			obs.Uint64("pruned", after.SubtreesPruned-before.SubtreesPruned),
@@ -642,40 +531,24 @@ func BestPairExhaustiveAlgo(ctx context.Context, p *platform.Platform, model sch
 	return &PairResult{Schedule: best, Send: bestSend, Return: bestRet}, nil
 }
 
-// pairSearchFlat is the flat double loop: for each send order the
-// send-prefix half of the tight system is assembled once
-// (eval.Session.FixedSend) and shared by all p! return orders, and a send
-// order whose return-order-independent relaxation (eval.Session.SendBound)
-// cannot beat the incumbent skips its entire inner loop.
-func pairSearchFlat(core *searchCore, sess *eval.Session, p *platform.Platform, model schedule.Model, mode eval.Mode, n int, prune bool) error {
+// pairSearchFlat is the unpruned, unseeded double loop: every return order
+// of every send order, each pair evaluated from scratch through
+// sess.Throughput. It is the ExactRational path and the tests' reference
+// for the branch-and-bound.
+func pairSearchFlat(core *searchCore, sess *eval.Session, p *platform.Platform, model schedule.Model, mode eval.Mode, n int) error {
+	sc := eval.Scenario{Platform: p, Model: model}
 	return forEachPermutation(n, func(sendPerm []int, _ int) error {
-		if err := core.ctx.Err(); err != nil {
-			return err
-		}
-		send := platform.Order(sendPerm)
-		if prune && core.bestRho > 0 {
-			bound, err := sess.SendBound(p, send, model)
-			if err != nil {
-				return err
-			}
-			if core.prunable(bound) {
-				pairOuterPruned.Add(1)
-				return nil // no σ2 under this σ1 can beat the incumbent
-			}
-		}
-		fixed, err := sess.FixedSend(p, send, model, mode)
-		if err != nil {
-			return err
-		}
+		sc.Send = sendPerm
 		return forEachPermutation(n, func(retPerm []int, _ int) error {
 			if err := core.poll(); err != nil {
 				return err
 			}
-			rho, err := fixed.Throughput(retPerm)
+			sc.Return = retPerm
+			rho, err := sess.Throughput(sc, mode)
 			if err != nil {
 				return err
 			}
-			core.offer(rho, send, platform.Order(retPerm))
+			core.offer(rho, platform.Order(sendPerm), platform.Order(retPerm))
 			return nil
 		})
 	})

@@ -124,7 +124,7 @@ func TestPairSeedsNeverExceedOptimum(t *testing.T) {
 			t.Fatal(err)
 		}
 		maxSeed := core.bestRho
-		pr, err := BestPairExhaustive(p, schedule.OnePort, Float64)
+		pr, err := BestPairExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,15 +146,17 @@ func TestPairSeedsNeverExceedOptimum(t *testing.T) {
 	}
 }
 
-// TestPairSeedingIncreasesPruning runs the flat pair search with and
+// TestPairSeedingIncreasesPruning runs the serial pair search with and
 // without incumbent seeding on 50 random platforms, via the package test
-// hooks: the result must be identical either way, per-platform pruning
-// must never decrease with seeds, and across the sample seeding must prune
-// strictly more inner loops (the whole point of evaluating the two chain
-// scenarios first). The flat algorithm is pinned because its inner-loop
-// prunes are monotone in the incumbent; the branch-and-bound trades many
-// deep cuts for fewer shallow ones, so its seeding property is a work
-// bound instead (see TestPairBBSeedingReducesWork).
+// hooks: the result must be identical either way, per-platform root-bound
+// prunes (send orders whose whole return-order tree is skipped) must never
+// decrease with seeds, and across the sample seeding must prune strictly
+// more send orders (the whole point of evaluating the two chain scenarios
+// first). Serially the seeded incumbent dominates the unseeded one at
+// every send order, which makes the root prunes monotone; deep prunes are
+// not (the branch-and-bound trades many deep cuts for fewer shallow ones),
+// so their seeding property is a work bound instead (see
+// TestPairBBSeedingReducesWork).
 func TestPairSeedingIncreasesPruning(t *testing.T) {
 	rng := rand.New(rand.NewSource(654))
 	totalSeeded, totalUnseeded := uint64(0), uint64(0)
@@ -166,7 +168,7 @@ func TestPairSeedingIncreasesPruning(t *testing.T) {
 			disablePairSeeding = disable
 			defer func() { disablePairSeeding = false }()
 			before := PairStatsSnapshot()
-			pr, err := BestPairExhaustiveAlgo(t.Context(), p, schedule.OnePort, eval.Auto, PairFlat)
+			pr, err := BestPairExhaustiveEval(t.Context(), p, schedule.OnePort, eval.Auto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +209,7 @@ func TestPairBBSeedingReducesWork(t *testing.T) {
 			disablePairSeeding = disable
 			defer func() { disablePairSeeding = false }()
 			before := PairStatsSnapshot()
-			pr, err := BestPairExhaustiveAlgo(t.Context(), p, schedule.OnePort, eval.Auto, PairBB)
+			pr, err := BestPairExhaustiveEval(t.Context(), p, schedule.OnePort, eval.Auto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,14 +230,32 @@ func TestPairBBSeedingReducesWork(t *testing.T) {
 	}
 }
 
+// pairFlat runs the unpruned double loop under mode and evaluates the
+// winner like BestPairExhaustiveEval: the reference the branch-and-bound
+// must agree with.
+func pairFlat(ctx context.Context, p *platform.Platform, model schedule.Model, mode eval.Mode) (*PairResult, error) {
+	winner := newSearchCore(ctx)
+	sess := eval.NewSession()
+	if err := pairSearchFlat(winner, sess, p, model, mode, p.P()); err != nil {
+		return nil, err
+	}
+	s, err := sess.Evaluate(eval.Scenario{Platform: p, Send: winner.best, Return: winner.bestRet, Model: model}, mode)
+	if err != nil {
+		return nil, err
+	}
+	return &PairResult{Schedule: s, Send: winner.best, Return: winner.bestRet}, nil
+}
+
 // TestPairBBAgreesWithFlat pins the branch-and-bound pair search against
 // the flat double loop: on random platforms across models the two must
 // agree on the optimal throughput, the derived makespan and the winning
 // schedule's canonicalised loads to 1e-9, and — whenever the optimum is
-// not a floating-point tie — on the winning (σ1, σ2) pair itself. Both
-// algorithms prune with a 1e-12 relative margin, so two pairs within that
-// margin of each other are legitimately interchangeable winners; in that
-// case the loads of both reported schedules must still agree.
+// not a floating-point tie — on the winning (σ1, σ2) pair itself. The
+// branch-and-bound prunes with a relative margin (pruneSlack), so two
+// pairs within that margin of each other are legitimately interchangeable
+// winners; in that case the loads of both reported schedules must still
+// agree. On p ≤ 4 the ExactRational search (the flat loop in rational
+// arithmetic) must agree with the branch-and-bound's throughput too.
 func TestPairBBAgreesWithFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	const load = 1000.0
@@ -246,11 +266,11 @@ func TestPairBBAgreesWithFlat(t *testing.T) {
 		if trial%5 == 4 {
 			model = schedule.TwoPort
 		}
-		bb, err := BestPairExhaustiveAlgo(t.Context(), p, model, eval.Auto, PairBB)
+		bb, err := BestPairExhaustiveEval(t.Context(), p, model, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := BestPairExhaustiveAlgo(t.Context(), p, model, eval.Auto, PairFlat)
+		flat, err := pairFlat(t.Context(), p, model, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,6 +312,16 @@ func TestPairBBAgreesWithFlat(t *testing.T) {
 				t.Fatalf("trial %d: load of worker %d: bb %.12g != flat %.12g", trial, i, a, b)
 			}
 		}
+		if n > 4 {
+			continue
+		}
+		exact, err := BestPairExhaustiveEval(t.Context(), p, model, eval.ExactRational)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re := exact.Schedule.Throughput(); re-rb > tol || rb-re > tol {
+			t.Fatalf("trial %d: exact throughput %.12g != bb %.12g\n%s", trial, re, rb, p)
+		}
 	}
 }
 
@@ -309,26 +339,13 @@ func TestPairBBCancellationInsideRecursion(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
 	defer cancel()
 	start := time.Now()
-	_, err := BestPairExhaustiveAlgo(ctx, p, schedule.OnePort, eval.Auto, PairBB)
+	_, err := BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.Auto)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expected context.DeadlineExceeded, got %v (after %v)", err, elapsed)
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v, the recursion is not polling the context", elapsed)
-	}
-}
-
-// TestPairBBRejectsExact pins the algorithm/backend compatibility rule:
-// the float64 prefix bounds cannot certify exact-rational comparisons.
-func TestPairBBRejectsExact(t *testing.T) {
-	p := randomPairPlatform(rand.New(rand.NewSource(1)), 3)
-	if _, err := BestPairExhaustiveAlgo(t.Context(), p, schedule.OnePort, eval.ExactRational, PairBB); err == nil {
-		t.Fatal("pair-bb accepted the exact-rational backend")
-	}
-	// PairAuto must route exact requests to the flat loop instead.
-	if _, err := BestPairExhaustiveAlgo(t.Context(), p, schedule.OnePort, eval.ExactRational, PairAuto); err != nil {
-		t.Fatalf("PairAuto with exact backend: %v", err)
 	}
 }
 

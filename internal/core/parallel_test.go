@@ -64,14 +64,14 @@ func TestParallelSearchMatchesSerialByteIdentical(t *testing.T) {
 		// every worker count ranks to steal (5! = 120 send orders).
 		n := 3 + trial%3
 		p := randomPairPlatform(rng, n)
-		serial, err := BestPairExhaustiveAlgo(context.Background(), p, schedule.OnePort, eval.Auto, PairBB)
+		serial, err := BestPairExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sBits := scheduleBits(serial.Schedule)
 		for _, w := range workerCounts {
 			ctx := ContextWithSearchParallelism(context.Background(), w)
-			got, err := BestPairExhaustiveAlgo(ctx, p, schedule.OnePort, eval.Auto, PairBB)
+			got, err := BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.Auto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestParallelPairSearchCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(ContextWithSearchParallelism(context.Background(), 4), 500*time.Microsecond)
 	defer cancel()
 	start := time.Now()
-	_, err := BestPairExhaustiveAlgo(ctx, p, schedule.OnePort, eval.Auto, PairBB)
+	_, err := BestPairExhaustiveEval(ctx, p, schedule.OnePort, eval.Auto)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expected context.DeadlineExceeded, got %v (after %v)", err, elapsed)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/eval"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
@@ -37,7 +39,7 @@ func TestTheorem1AgainstExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, order, err := BestFIFOExhaustive(p, schedule.OnePort, Float64)
+		best, order, err := BestFIFOExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +62,7 @@ func TestTheorem1AgainstExhaustiveZGreaterOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, _, err := BestFIFOExhaustive(p, schedule.OnePort, Float64)
+		best, _, err := BestFIFOExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +292,7 @@ func TestBusFIFODominatesAllPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pair, err := BestPairExhaustive(p, schedule.OnePort, Exact)
+		pair, err := BestPairExhaustiveEval(context.Background(), p, schedule.OnePort, eval.ExactRational)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +370,7 @@ func TestBestPairDominatesFixedDisciplines(t *testing.T) {
 	rng := rand.New(rand.NewSource(108))
 	for trial := 0; trial < 5; trial++ {
 		p := randomStar(rng, 3, 0.5)
-		pair, err := BestPairExhaustive(p, schedule.OnePort, Float64)
+		pair, err := BestPairExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +401,7 @@ func TestBestLIFOExhaustiveMatchesOptimalLIFO(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, order, err := BestLIFOExhaustive(p, schedule.OnePort, Float64)
+		best, order, err := BestLIFOExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,24 +438,24 @@ func TestForEachPermutationCounts(t *testing.T) {
 
 func TestExhaustiveLimits(t *testing.T) {
 	big := randomStar(rand.New(rand.NewSource(110)), maxExhaustiveOrder+1, 0.5)
-	if _, _, err := BestFIFOExhaustive(big, schedule.OnePort, Float64); err == nil {
+	if _, _, err := BestFIFOExhaustiveEval(context.Background(), big, schedule.OnePort, eval.Auto); err == nil {
 		t.Error("exhaustive FIFO must refuse oversized platforms")
 	}
 	med := randomStar(rand.New(rand.NewSource(111)), maxExhaustivePair+1, 0.5)
-	if _, err := BestPairExhaustive(med, schedule.OnePort, Float64); err == nil {
+	if _, err := BestPairExhaustiveEval(context.Background(), med, schedule.OnePort, eval.Auto); err == nil {
 		t.Error("exhaustive pair search must refuse oversized platforms")
 	}
 	// Exact arithmetic keeps the historical cap: the flat loop runs
 	// unpruned there, so the branch-and-bound's larger ceiling must not
 	// admit a days-long (p!)² exact simplex enumeration.
 	exactBig := randomStar(rand.New(rand.NewSource(112)), maxExhaustivePairExact+1, 0.5)
-	if _, err := BestPairExhaustive(exactBig, schedule.OnePort, Exact); err == nil {
+	if _, err := BestPairExhaustiveEval(context.Background(), exactBig, schedule.OnePort, eval.ExactRational); err == nil {
 		t.Error("exact-rational pair search must refuse platforms beyond the unpruned cap")
 	}
-	if _, _, err := BestFIFOExhaustive(platform.New(), schedule.OnePort, Float64); err == nil {
+	if _, _, err := BestFIFOExhaustiveEval(context.Background(), platform.New(), schedule.OnePort, eval.Auto); err == nil {
 		t.Error("invalid platform must be rejected")
 	}
-	if _, err := BestPairExhaustive(platform.New(), schedule.OnePort, Float64); err == nil {
+	if _, err := BestPairExhaustiveEval(context.Background(), platform.New(), schedule.OnePort, eval.Auto); err == nil {
 		t.Error("invalid platform must be rejected")
 	}
 }
@@ -540,7 +542,7 @@ func BenchmarkBestFIFOExhaustive5(b *testing.B) {
 	p := randomStar(rng, 5, 0.5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := BestFIFOExhaustive(p, schedule.OnePort, Float64); err != nil {
+		if _, _, err := BestFIFOExhaustiveEval(context.Background(), p, schedule.OnePort, eval.Auto); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/eval"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
@@ -19,7 +21,7 @@ func TestTwoPortFIFOSortedOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, order, err := BestFIFOExhaustive(p, schedule.TwoPort, Float64)
+		best, order, err := BestFIFOExhaustiveEval(context.Background(), p, schedule.TwoPort, eval.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -819,7 +819,7 @@ func (rp *ReturnPrefix) ReturnOrder() platform.Order {
 // LeafThroughput evaluates the fully committed return order exactly when
 // Bound could not certify the leaf: the active-set descent over the
 // already-assembled full tight matrix (port-bound and resource-selection
-// vertices), then the simplex. Mirrors FixedSend.Throughput's tiers.
+// vertices), then the simplex.
 func (rp *ReturnPrefix) LeafThroughput() (float64, error) {
 	if len(rp.tail) != rp.q {
 		return 0, fmt.Errorf("eval: LeafThroughput on a partial return prefix (%d of %d committed)", len(rp.tail), rp.q)

@@ -157,8 +157,8 @@ func (s *Session) busFIFO(p *platform.Platform, send platform.Order) ([]float64,
 
 // buildTightBase fills dst (q×q, row-major) with the return-order-
 // independent half of the tight system: the send-prefix c terms and the
-// diagonal w terms. The FixedSend pair-search path shares one base across
-// every return order of a send permutation.
+// diagonal w terms. fullTightMatrix completes it with addReturnTerms; the
+// pair search's ReturnPrefix starts every send permutation from it.
 func buildTightBase(dst []float64, p *platform.Platform, send platform.Order) {
 	q := len(send)
 	for s := 0; s < q; s++ {
