@@ -49,7 +49,9 @@ type BatcherConfig struct {
 	// QueueCap bounds admission: at most QueueCap submissions may be
 	// admitted and not yet answered. A submission beyond it is shed with
 	// ErrOverloaded instead of blocking, so overload surfaces immediately
-	// rather than as unbounded latency. Default 1024.
+	// rather than as unbounded latency. Cache hits are answered before
+	// admission: they are never admitted, never count toward QueueCap and
+	// are never shed. Default 1024.
 	QueueCap int
 	// Workers bounds how many flushed windows are solved concurrently
 	// (each window is one SolveBatch, which fans out over the solver's own
@@ -121,7 +123,8 @@ type BatcherStats struct {
 // submission is one queued request and its reply slot.
 type submission struct {
 	ctx      context.Context
-	req      Request
+	req      Request // prepared (validated, defaults applied)
+	key      string  // req's cache key
 	class    SLOClass
 	deadline time.Time // zero: best effort
 	res      *Result
@@ -154,9 +157,15 @@ func (sub *submission) stage(name string, start, end time.Time, attrs ...obs.Att
 // together collapse into the engine's structure-of-arrays prepass and
 // duplicate requests dedupe against each other, instead of solving one by
 // one. Callers that can see their own concurrency (SolveStream) bypass
-// the window for requests travelling alone; the Batcher itself always
-// waits out the window, which is what makes its batch sizes stable under
-// load.
+// the window for requests travelling alone; every request that reaches
+// the Batcher's window waits it out, which is what makes its batch sizes
+// stable under load.
+//
+// A request whose result is already in the solver's cache never reaches
+// the window: a schedule is a deterministic function of the request, so
+// a cache hit is the final answer and batching it could gain nothing.
+// Admission looks every request up once and answers hits (and invalid
+// requests) on the spot; only misses queue.
 //
 // One admission state machine serves three modes, which differ only in
 // who solves a flushed window: the Workers drain goroutines (the
@@ -175,9 +184,10 @@ type Batcher struct {
 	clock Clock
 	adapt *adaptive // nil unless cfg.Adaptive
 
-	// mu guards admission: the closed flag and the filling window.
+	// mu guards admission: the filling window, and the transitions of
+	// closed, which the hit path reads without it.
 	mu       sync.Mutex
-	closed   bool
+	closed   atomic.Bool
 	win      []*submission // the filling window
 	winSize  int           // its early-flush threshold
 	winFlush time.Time     // its scheduled flush
@@ -244,18 +254,15 @@ func (b *Batcher) resolveClass(name string) (SLOClass, error) {
 	return SLOClass{}, fmt.Errorf("%w %q", ErrUnknownClass, name)
 }
 
-// newSubmission builds a submission under its class. The class deadline
-// (measured on the batcher clock) is recorded for SLO shedding and
-// violation accounting; where the batcher solves — every mode but the
-// synchronous one, whose owner models the solve — it is also merged into
-// the context so the solve is cancelled at the deadline. A context that
-// already carries an earlier deadline keeps it.
-func (b *Batcher) newSubmission(ctx context.Context, req Request, class SLOClass, tag any) (*submission, context.CancelFunc) {
-	sub := &submission{ctx: ctx, req: req, class: class, tag: tag, ready: make(chan struct{})}
-	if ts := obs.Traces(ctx); len(ts) > 0 {
-		sub.traces = ts
-		sub.submitAt = b.clock.Now()
-	}
+// newSubmission builds the submission of a prepared request that missed
+// the cache, under its class. The class deadline (measured on the
+// batcher clock) is recorded for SLO shedding and violation accounting;
+// where the batcher solves — every mode but the synchronous one, whose
+// owner models the solve — it is also merged into the context so the
+// solve is cancelled at the deadline. A context that already carries an
+// earlier deadline keeps it.
+func (b *Batcher) newSubmission(ctx context.Context, req Request, key string, class SLOClass, tag any) (*submission, context.CancelFunc) {
+	sub := &submission{ctx: ctx, req: req, key: key, class: class, tag: tag, ready: make(chan struct{})}
 	cancel := context.CancelFunc(func() {})
 	if class.Deadline > 0 {
 		sub.deadline = b.clock.Now().Add(class.Deadline)
@@ -266,6 +273,62 @@ func (b *Batcher) newSubmission(ctx context.Context, req Request, class SLOClass
 		sub.deadline = d
 	}
 	return sub, cancel
+}
+
+// answered is the reply slot of every submission answered at admission,
+// before any window: it is closed from the start.
+var answered = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// admit is the one admission step of Submit and Offer. A closed batcher
+// refuses the request with ErrBatcherClosed, and a request whose context
+// is already done is answered with ctx.Err(), so the adaptive estimates
+// only see live traffic. Every other request is looked up once
+// (Solver.lookup): an invalid request is answered with its validation
+// error, and a cache hit with its result — recording one depth-0
+// cache_hit stage when traced — without entering a window, counting
+// toward QueueCap or touching the adaptive controller. A miss goes on to
+// admitLocked with its prepared request and cache key. The returned
+// window, if any, is the caller's to deliver (see flushLocked); cancel
+// releases the submission's deadline context.
+func (b *Batcher) admit(ctx context.Context, req Request, class SLOClass, tag any) (sub *submission, w *Window, cancel context.CancelFunc, err error) {
+	if b.closed.Load() {
+		return nil, nil, nil, ErrBatcherClosed
+	}
+	noop := func() {}
+	if err := ctx.Err(); err != nil {
+		return &submission{ctx: ctx, req: req, class: class, tag: tag, err: err, ready: answered}, nil, noop, nil
+	}
+	var submitAt time.Time
+	traces := obs.Traces(ctx)
+	if len(traces) > 0 {
+		submitAt = b.clock.Now()
+	}
+	prepared, key, hit, err := b.s.lookup(ctx, req, true)
+	if err != nil || hit != nil {
+		sub = &submission{ctx: ctx, req: prepared, class: class, tag: tag, res: hit, err: err, ready: answered}
+		if hit != nil && len(traces) > 0 {
+			sub.traces = traces
+			sub.stage("cache_hit", submitAt, b.clock.Now())
+		}
+		return sub, nil, noop, nil
+	}
+	sub, cancel = b.newSubmission(ctx, prepared, key, class, tag)
+	sub.traces, sub.submitAt = traces, submitAt
+	b.mu.Lock()
+	w, err = b.admitLocked(sub)
+	if w != nil && b.direct() {
+		b.wg.Add(1) // Close waits out this direct solve
+	}
+	b.mu.Unlock()
+	if err != nil {
+		cancel()
+		return nil, nil, nil, err
+	}
+	return sub, w, cancel, nil
 }
 
 // recordShed counts one shed submission (per class too) and answers it.
@@ -282,13 +345,15 @@ func (b *Batcher) recordShed(sub *submission, err error) {
 	close(sub.ready)
 }
 
-// Submit queues req and blocks until its window is solved, returning the
-// request's own result (duplicates within a window are deduplicated by
-// SolveBatch and come back marked Cached). If admission is full the
-// request is shed immediately with ErrOverloaded. A ctx that expires
-// while the request is queued abandons it (the flush skips submissions
-// whose context is already done); a ctx that expires mid-solve returns
-// ctx.Err() without waiting for the window.
+// Submit answers req from the solver's cache at once when it can;
+// otherwise it queues req and blocks until its window is solved,
+// returning the request's own result (duplicates within a window are
+// deduplicated by SolveBatch and come back marked Cached). If admission
+// is full a request that missed the cache is shed immediately with
+// ErrOverloaded. A ctx that expires while the request is queued abandons
+// it (the flush skips submissions whose context is already done); a ctx
+// that expires mid-solve returns ctx.Err() without waiting for the
+// window.
 func (b *Batcher) Submit(ctx context.Context, req Request) (*Result, error) {
 	return b.submitClass(ctx, req, SLOClass{})
 }
@@ -309,17 +374,11 @@ func (b *Batcher) submitClass(ctx context.Context, req Request, class SLOClass) 
 	if b.cfg.OnWindow != nil {
 		return nil, fmt.Errorf("dls: Submit on a synchronous batcher (drive it with Offer)")
 	}
-	sub, cancel := b.newSubmission(ctx, req, class, nil)
-	defer cancel()
-	b.mu.Lock()
-	w, err := b.admitLocked(sub)
-	if w != nil {
-		b.wg.Add(1) // Close waits out this direct solve
-	}
-	b.mu.Unlock()
+	sub, w, cancel, err := b.admit(ctx, req, class, nil)
 	if err != nil {
 		return nil, err
 	}
+	defer cancel()
 	if w != nil {
 		// Batching is off: the one-request window solves right here.
 		b.solveWindow(w)
@@ -334,22 +393,15 @@ func (b *Batcher) submitClass(ctx context.Context, req Request, class SLOClass) 
 	}
 }
 
-// admitLocked is the admission step of every mode, run under b.mu. A
-// submission whose context is already done is answered without being
-// admitted, so the adaptive estimates only see live traffic. Beyond
-// QueueCap outstanding submissions, or when the adaptive policy predicts
-// its SLO deadline cannot be met, the submission is shed. Otherwise it
-// joins the filling window, opening one if needed, and a window that
-// reaches its size threshold flushes at once. The returned window, if
-// any, is the caller's to deliver (see flushLocked).
+// admitLocked admits a cache miss into the filling window, under b.mu
+// (see admit). Beyond QueueCap outstanding submissions, or when the
+// adaptive policy predicts its SLO deadline cannot be met, the submission
+// is shed. Otherwise it joins the filling window, opening one if needed,
+// and a window that reaches its size threshold flushes at once. The
+// returned window, if any, is the caller's to deliver (see flushLocked).
 func (b *Batcher) admitLocked(sub *submission) (*Window, error) {
-	if b.closed {
+	if b.closed.Load() {
 		return nil, ErrBatcherClosed
-	}
-	if err := sub.ctx.Err(); err != nil {
-		sub.err = err
-		close(sub.ready)
-		return nil, nil
 	}
 	if b.outstanding.Load() >= int64(b.cfg.QueueCap) {
 		b.recordShed(sub, ErrOverloaded)
@@ -443,8 +495,8 @@ func (b *Batcher) accountCompletion(sub *submission, now time.Time) {
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	var w *Window
-	if !b.closed {
-		b.closed = true
+	if !b.closed.Load() {
+		b.closed.Store(true)
 		w = b.flushLocked()
 		if b.windows != nil {
 			close(b.windows)
@@ -632,9 +684,10 @@ func (b *Batcher) solveWindow(w *Window) {
 	if len(live) > 0 {
 		ctx, cancel := b.windowContext(live)
 		reqs := make([]Request, len(live))
+		keys := make([]string, len(live))
 		var traces [][]*obs.Trace
 		for i, sub := range live {
-			reqs[i] = sub.req
+			reqs[i], keys[i] = sub.req, sub.key
 			if len(sub.traces) > 0 {
 				if traces == nil {
 					traces = make([][]*obs.Trace, len(live))
@@ -646,7 +699,7 @@ func (b *Batcher) solveWindow(w *Window) {
 			results []*Result
 			errs    []error
 		)
-		results, errs, groups = b.s.solveBatchTraced(ctx, reqs, traces)
+		results, errs, groups = b.s.solveBatchTraced(ctx, reqs, keys, traces)
 		if cancel != nil {
 			cancel()
 		}

@@ -3,12 +3,14 @@ package dls_test
 // Mode equivalence: goroutine-mode Submit and synchronous-mode Offer are
 // two transports around one admission state machine, so one seeded
 // arrival sequence driven through each on a virtual clock must flush the
-// same windows at the same instants and shed the same submissions.
+// same windows at the same instants and shed the same submissions —
+// with a cached solver too, whose hits both answer at admission.
 
 import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,6 +71,34 @@ func modesArrivals(seed int64, n int) []modesArrival {
 	return out
 }
 
+// withHits interleaves hits into arrivals: after every third arrival, one
+// of the hot requests arrives at the same instant under the same class.
+func withHits(arrivals []modesArrival, hot []dls.Request) []modesArrival {
+	out := make([]modesArrival, 0, len(arrivals)+len(arrivals)/3)
+	for i, a := range arrivals {
+		out = append(out, a)
+		if i%3 == 2 {
+			out = append(out, modesArrival{at: a.at, class: a.class, req: hot[i%len(hot)]})
+		}
+	}
+	return out
+}
+
+// modesSolver builds the solver of one run: cache-less, or cached and
+// warmed with hot.
+func modesSolver(t *testing.T, hot []dls.Request, opts ...dls.Option) *dls.Solver {
+	if hot == nil {
+		return mustSolver(t, opts...)
+	}
+	solver := mustSolver(t, append(opts, dls.WithCache(1024))...)
+	for _, req := range hot {
+		if _, err := solver.Solve(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return solver
+}
+
 type modesFlush struct {
 	at   time.Duration
 	size int
@@ -119,6 +149,7 @@ type modesRun struct {
 	flushes    []modesFlush
 	sheds      []modesShed
 	violations map[string]uint64
+	hits       uint64
 }
 
 func modesConfig(adaptive bool, log *modesLog) dls.BatcherConfig {
@@ -145,12 +176,12 @@ func modesConfig(adaptive bool, log *modesLog) dls.BatcherConfig {
 // The virtual clock moves one timer or arrival at a time, and only once
 // the batcher has settled: every submission admitted or shed, every
 // flushed window's solve started, every window due by now answered.
-func runSubmitMode(t *testing.T, arrivals []modesArrival, adaptive bool) modesRun {
+func runSubmitMode(t *testing.T, arrivals []modesArrival, adaptive bool, hot []dls.Request) modesRun {
 	clk := sim.NewClock()
 	vsleep.clk.Store(clk)
 	vsleep.armed.Store(0)
 	log := &modesLog{clk: clk}
-	solver := mustSolver(t, dls.WithParallelism(16))
+	solver := modesSolver(t, hot, dls.WithParallelism(16))
 	b := solver.NewBatcher(modesConfig(adaptive, log))
 
 	var wg sync.WaitGroup
@@ -161,16 +192,17 @@ func runSubmitMode(t *testing.T, arrivals []modesArrival, adaptive bool) modesRu
 		for {
 			// Read order matters: each later read can only be newer, so a
 			// half-finished admission or flush never looks settled.
-			shed := int(solver.Stats().Shed)
+			solved := solver.Stats()
+			hits, shed := int(solved.Hits), int(solved.Shed)
 			flushed, solving := log.snapshot(clk.Now().Sub(sim.Epoch))
 			st := b.Stats()
-			if shed+flushed+st.WindowFill == submitted && st.QueueDepth == solving &&
+			if hits+shed+flushed+st.WindowFill == submitted && st.QueueDepth == solving &&
 				int(vsleep.armed.Load()) == flushed {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("batcher did not settle: shed=%d flushed=%d fill=%d submitted=%d depth=%d solving=%d armed=%d",
-					shed, flushed, st.WindowFill, submitted, st.QueueDepth, solving, vsleep.armed.Load())
+				t.Fatalf("batcher did not settle: hits=%d shed=%d flushed=%d fill=%d submitted=%d depth=%d solving=%d armed=%d",
+					hits, shed, flushed, st.WindowFill, submitted, st.QueueDepth, solving, vsleep.armed.Load())
 			}
 			time.Sleep(20 * time.Microsecond)
 		}
@@ -199,15 +231,16 @@ func runSubmitMode(t *testing.T, arrivals []modesArrival, adaptive bool) modesRu
 	advanceTo(sim.Epoch.Add(arrivals[len(arrivals)-1].at + time.Second))
 	b.Close()
 	wg.Wait()
-	return modesRun{log.flushes, log.sheds, solver.Stats().ViolationsByClass}
+	st := solver.Stats()
+	return modesRun{log.flushes, log.sheds, st.ViolationsByClass, st.Hits}
 }
 
 // runOfferMode drives the same arrivals through synchronous-mode Offer,
 // completing each window modesService after its flush.
-func runOfferMode(t *testing.T, arrivals []modesArrival, adaptive bool) modesRun {
+func runOfferMode(t *testing.T, arrivals []modesArrival, adaptive bool, hot []dls.Request) modesRun {
 	clk := sim.NewClock()
 	log := &modesLog{clk: clk}
-	solver := mustSolver(t)
+	solver := modesSolver(t, hot)
 	var solving []*dls.Window // in flush order, so in due order
 	cfg := modesConfig(adaptive, log)
 	cfg.OnWindow = func(w *dls.Window) { solving = append(solving, w) }
@@ -250,23 +283,42 @@ func runOfferMode(t *testing.T, arrivals []modesArrival, adaptive bool) modesRun
 	}
 	step(sim.Epoch.Add(arrivals[len(arrivals)-1].at + time.Second))
 	b.Close()
-	return modesRun{log.flushes, log.sheds, solver.Stats().ViolationsByClass}
+	st := solver.Stats()
+	return modesRun{log.flushes, log.sheds, st.ViolationsByClass, st.Hits}
 }
 
 // TestBatcherModesAgree replays one seeded arrival sequence through
 // Submit and through Offer, with fixed and adaptive windows, and demands
-// the same window sizes, flush times, shed set and SLO violations.
+// the same window sizes, flush times, shed set and SLO violations. The
+// cached rows interleave hits of warmed problems, which both modes must
+// answer at admission without disturbing any window or shed.
 func TestBatcherModesAgree(t *testing.T) {
 	registerVSleepStrategy()
 	arrivals := modesArrivals(1313, 400)
-	for _, adaptive := range []bool{false, true} {
-		name := "fixed"
-		if adaptive {
-			name = "adaptive"
-		}
-		t.Run(name, func(t *testing.T) {
-			got := runSubmitMode(t, arrivals, adaptive)
-			want := runOfferMode(t, arrivals, adaptive)
+	rng := rand.New(rand.NewSource(1314))
+	hot := make([]dls.Request, 8)
+	for i := range hot {
+		p := dls.RandomSpeeds(rng, 4, dls.Heterogeneous).Platform(dls.DefaultApp(100))
+		hot[i] = dls.Request{Platform: p, Strategy: dls.StrategyIncC}
+	}
+	uncached := make(map[bool]modesRun) // by adaptive
+	for _, row := range []struct {
+		name     string
+		adaptive bool
+		hot      []dls.Request
+	}{
+		{"fixed", false, nil},
+		{"adaptive", true, nil},
+		{"fixed-cached", false, hot},
+		{"adaptive-cached", true, hot},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			adaptive, arrivals := row.adaptive, arrivals
+			if row.hot != nil {
+				arrivals = withHits(arrivals, row.hot)
+			}
+			got := runSubmitMode(t, arrivals, adaptive, row.hot)
+			want := runOfferMode(t, arrivals, adaptive, row.hot)
 
 			full, slo := 0, 0
 			for _, f := range want.flushes {
@@ -306,6 +358,16 @@ func TestBatcherModesAgree(t *testing.T) {
 				if got.violations[class] != want.violations[class] {
 					t.Errorf("class %q violations: Submit %d, Offer %d", class, got.violations[class], want.violations[class])
 				}
+			}
+			if wantHits := uint64(len(arrivals) - 400); got.hits != wantHits || want.hits != wantHits {
+				t.Errorf("hits: Submit %d, Offer %d, want %d (every hot arrival)", got.hits, want.hits, wantHits)
+			}
+			if row.hot == nil {
+				uncached[adaptive] = want
+			} else if base, ok := uncached[adaptive]; ok &&
+				(!slices.Equal(want.flushes, base.flushes) || !slices.Equal(want.sheds, base.sheds)) {
+				t.Errorf("hits changed the windows or sheds: %d windows, %d sheds; without hits %d, %d",
+					len(want.flushes), len(want.sheds), len(base.flushes), len(base.sheds))
 			}
 		})
 	}

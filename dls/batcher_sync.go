@@ -40,7 +40,8 @@ func (p *Pending) Result() *Result { return p.sub.res }
 // Class returns the SLO class the submission was admitted under.
 func (p *Pending) Class() SLOClass { return p.sub.class }
 
-// Deadline returns the submission's absolute deadline (zero: none).
+// Deadline returns the submission's absolute deadline (zero: none, or
+// answered at admission).
 func (p *Pending) Deadline() time.Time { return p.sub.deadline }
 
 // SetTag attaches an owner value to the submission; Window.Tag returns
@@ -91,8 +92,9 @@ func (w *Window) Complete(results []*Result, errs []error) error {
 }
 
 // Offer admits or sheds one submission now, without blocking: it is the
-// synchronous-mode counterpart of Submit. The returned Pending is
-// answered immediately on shed, or by Window.Complete after the window
+// synchronous-mode counterpart of Submit and shares its admission step.
+// The returned Pending is answered immediately on a cache hit, an
+// invalid request or a shed, or by Window.Complete after the window
 // carrying it is flushed. Admission is bounded by QueueCap outstanding
 // (admitted, not yet completed) submissions; beyond it, and for
 // deadline-carrying requests the adaptive policy predicts cannot meet
@@ -109,10 +111,7 @@ func (b *Batcher) Offer(ctx context.Context, req Request, class string, tag any)
 	if err != nil {
 		return nil, err
 	}
-	sub, _ := b.newSubmission(ctx, req, c, tag)
-	b.mu.Lock()
-	w, err := b.admitLocked(sub)
-	b.mu.Unlock()
+	sub, w, _, err := b.admit(ctx, req, c, tag)
 	if err != nil {
 		return nil, err
 	}
@@ -153,17 +152,8 @@ func (b *Batcher) handOff(w *Window) {
 // instead of running it.
 func countGroups(win []*submission) int {
 	seen := make(map[string]struct{}, len(win))
-	groups := 0
 	for _, sub := range win {
-		if sub.req.Platform == nil {
-			groups++ // invalid; errors individually, never solves
-			continue
-		}
-		key := sub.req.cacheKey()
-		if _, ok := seen[key]; !ok {
-			seen[key] = struct{}{}
-			groups++
-		}
+		seen[sub.key] = struct{}{}
 	}
-	return groups
+	return len(seen)
 }

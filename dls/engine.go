@@ -2,6 +2,7 @@ package dls
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -384,16 +385,38 @@ func (s *Solver) prepare(req Request) (Request, StrategyFunc, error) {
 	return req, fn, nil
 }
 
-// cacheKey builds the memoization key of a prepared request. Load is
-// excluded: Makespan is derived from the cached throughput per request.
+// cacheKey builds the memoization key of a prepared request: a binary
+// encoding of the platform (worker count and cost hash, the value behind
+// Platform.Fingerprint), the strategy, model, arithmetic and eval mode,
+// the exact send and return orders, and the affine-cost hash. Every
+// variable-length field is length-prefixed, so two requests share a key
+// only when all of these agree. Load is excluded: Makespan is derived
+// from the cached throughput per request.
 func (req Request) cacheKey() string {
-	var b strings.Builder
-	b.WriteString(req.Platform.Fingerprint())
-	fmt.Fprintf(&b, "|%s|%d|%d|%d|%v|%v", req.Strategy, int(req.Model), int(req.Arith), int(req.Eval), []int(req.Send), []int(req.Return))
+	var buf [128]byte
+	b := binary.AppendUvarint(buf[:0], uint64(len(req.Platform.Workers)))
+	b = binary.LittleEndian.AppendUint64(b, req.Platform.CostHash())
+	b = binary.AppendUvarint(b, uint64(len(req.Strategy)))
+	b = append(b, req.Strategy...)
+	b = binary.AppendVarint(b, int64(req.Model))
+	b = binary.AppendVarint(b, int64(req.Arith))
+	b = binary.AppendVarint(b, int64(req.Eval))
+	b = appendOrder(b, req.Send)
+	b = appendOrder(b, req.Return)
 	if req.Affine != nil {
-		fmt.Fprintf(&b, "|aff-%016x", platform.HashFloats(req.Affine.In, req.Affine.Out, req.Affine.Comp))
+		b = append(b, 1)
+		b = binary.LittleEndian.AppendUint64(b, platform.HashFloats(req.Affine.In, req.Affine.Out, req.Affine.Comp))
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendOrder appends a length-prefixed order to a cache key.
+func appendOrder(b []byte, o Order) []byte {
+	b = binary.AppendUvarint(b, uint64(len(o)))
+	for _, v := range o {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
 }
 
 // finish stamps the derived fields of a result for one specific request.
@@ -424,30 +447,53 @@ func finish(res *Result, req Request, cached bool) *Result {
 // sentinel checks like errors.Is(err, ErrNoCommonZ) keep working; context
 // cancellation and the WithTimeout deadline surface as ctx.Err().
 func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
-	req, fn, err := s.prepare(req)
+	req, key, hit, err := s.lookup(ctx, req, false)
+	if err != nil || hit != nil {
+		return hit, err
+	}
+	return s.solveMiss(ctx, req, key)
+}
+
+// lookup is the step every request takes exactly once, whether it comes
+// through Solve, SolveBatch or a Batcher's admission: it validates the
+// request (prepare) and, when the solver has a cache, builds the cache
+// key and runs the request's one counted cache lookup. dedup asks for the
+// key without a cache too, for callers that deduplicate by it. hit is
+// the cached result finished for this request, nil on a miss or without
+// a cache. A miss carries the prepared request and its key on, so
+// nothing downstream validates or keys it again.
+func (s *Solver) lookup(ctx context.Context, req Request, dedup bool) (prepared Request, key string, hit *Result, err error) {
+	req, _, err = s.prepare(req)
 	if err != nil {
-		return nil, err
+		return req, "", nil, err
 	}
-	traced := obs.Enabled(ctx)
-	if traced {
-		obs.Annotate(ctx, obs.String("strategy", req.Strategy))
-	}
-	var key string
-	if s.cache != nil {
+	if s.cache != nil || dedup {
 		key = req.cacheKey()
+	}
+	cache := "" // trace disposition; none without a cache
+	if s.cache != nil {
 		if res, ok := s.cache.get(key); ok {
 			s.hits.Add(1)
-			if traced {
-				obs.Annotate(ctx, obs.String("cache", "hit"))
-			}
-			return finish(res, req, true), nil
-		}
-		s.misses.Add(1)
-		if traced {
-			obs.Annotate(ctx, obs.String("cache", "miss"))
+			hit, cache = finish(res, req, true), "hit"
+		} else {
+			s.misses.Add(1)
+			cache = "miss"
 		}
 	}
-	res, err := s.run(ctx, req, fn)
+	if obs.Enabled(ctx) {
+		if cache == "" {
+			obs.Annotate(ctx, obs.String("strategy", req.Strategy))
+		} else {
+			obs.Annotate(ctx, obs.String("strategy", req.Strategy), obs.String("cache", cache))
+		}
+	}
+	return req, key, hit, nil
+}
+
+// solveMiss solves a prepared request that missed the cache, and caches
+// the answer under key.
+func (s *Solver) solveMiss(ctx context.Context, req Request, key string) (*Result, error) {
+	res, err := s.run(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -462,7 +508,7 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 
 // run executes the strategy under the solver timeout, with the solver's
 // search parallelism on the context for the exhaustive searches.
-func (s *Solver) run(ctx context.Context, req Request, fn StrategyFunc) (*Result, error) {
+func (s *Solver) run(ctx context.Context, req Request) (*Result, error) {
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
@@ -480,6 +526,7 @@ func (s *Solver) run(ctx context.Context, req Request, fn StrategyFunc) (*Result
 		}
 		return res, nil
 	}
+	fn, _ := lookupStrategy(req.Strategy) // prepare resolved it; the registry never shrinks
 	s.countSolve(req.Strategy)
 	start := time.Now()
 	t0 := obs.Now(ctx)
@@ -498,15 +545,39 @@ func (s *Solver) run(ctx context.Context, req Request, fn StrategyFunc) (*Result
 }
 
 // SolveBatch solves many requests across the solver's worker pool and
-// returns results aligned with reqs: results[i] answers reqs[i]. Identical
-// requests (same cache key) are solved once and fanned out, with the
+// returns results aligned with reqs: results[i] answers reqs[i]. Each
+// request is looked up in the cache on its own; identical requests that
+// miss (same cache key) are solved once and fanned out, with the
 // duplicates marked Cached. The output is deterministic — byte-identical
 // across parallelism settings — because every per-request computation is
 // itself deterministic and ordering never leaks into results. Failed
 // requests leave a nil slot; the returned error joins the per-request
 // errors in request order.
 func (s *Solver) SolveBatch(ctx context.Context, reqs []Request) ([]*Result, error) {
-	results, errs, _ := s.solveBatchTraced(ctx, reqs, nil)
+	results := make([]*Result, len(reqs))
+	errs := make([]error, len(reqs))
+	var (
+		missed []int
+		misses []Request
+		keys   []string
+	)
+	for i, req := range reqs {
+		p, key, hit, err := s.lookup(ctx, req, true)
+		switch {
+		case err != nil:
+			errs[i] = err
+		case hit != nil:
+			results[i] = hit
+		default:
+			missed = append(missed, i)
+			misses = append(misses, p)
+			keys = append(keys, key)
+		}
+	}
+	res, missErrs, _ := s.solveBatchTraced(ctx, misses, keys, nil)
+	for j, i := range missed {
+		results[i], errs[i] = res[j], missErrs[j]
+	}
 	for i, err := range errs {
 		if err != nil {
 			errs[i] = fmt.Errorf("dls: batch request %d: %w", i, err)
@@ -515,31 +586,25 @@ func (s *Solver) SolveBatch(ctx context.Context, reqs []Request) ([]*Result, err
 	return results, errors.Join(errs...)
 }
 
-// solveBatchTraced is SolveBatch with the per-slot errors kept
-// individually (and unwrapped), for the micro-batcher, which answers each
-// request to a different consumer, and with per-request trace sets: when
-// traces is non-nil, traces[i] holds the obs traces following request i,
-// and each deduplicated group's solve runs under the union of its
-// members' traces — so a submission answered by a leader it never met
-// still sees the stages of the solve that produced its result. With
-// traces == nil, every group solves under ctx unchanged. groups is the
-// number of deduplicated problems the batch solved (cache hits included).
-func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces [][]*obs.Trace) (results []*Result, errs []error, groups int) {
+// solveBatchTraced solves requests that were prepared and looked up in
+// the cache already (keys[i] is the cache key of reqs[i]), with the
+// per-slot errors kept individually (and unwrapped), for the
+// micro-batcher, which answers each request to a different consumer, and
+// with per-request trace sets: when traces is non-nil, traces[i] holds
+// the obs traces following request i, and each deduplicated group's
+// solve runs under the union of its members' traces — so a submission
+// answered by a leader it never met still sees the stages of the solve
+// that produced its result. With traces == nil, every group solves under
+// ctx unchanged. groups is the number of deduplicated problems the batch
+// solved.
+func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, keys []string, traces [][]*obs.Trace) (results []*Result, errs []error, groups int) {
 	results = make([]*Result, len(reqs))
 	errs = make([]error, len(reqs))
 
 	// Deduplicate by cache key: one solve per distinct problem.
 	byKey := make(map[string]*group, len(reqs))
 	order := make([]*group, 0, len(reqs))
-	prepared := make([]Request, len(reqs))
-	for i, req := range reqs {
-		p, _, err := s.prepare(req)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		prepared[i] = p
-		key := p.cacheKey()
+	for i, key := range keys {
 		g, ok := byKey[key]
 		if !ok {
 			g = &group{leader: i, key: key}
@@ -577,7 +642,7 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 	// together by structure-of-arrays lockstep sweeps before the pool
 	// starts; everything it could not certify flows through the normal
 	// per-request path below.
-	handled := s.chainPrepass(ctx, prepared, order, results, errs, groupCtx)
+	handled := s.chainPrepass(ctx, reqs, order, results, groupCtx)
 
 	// Solve one leader per group on the pool (never more workers than
 	// groups to solve).
@@ -592,7 +657,7 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 		go func() {
 			defer wg.Done()
 			for g := range jobs {
-				res, err := s.Solve(groupCtx(g), reqs[g.leader])
+				res, err := s.solveLeader(groupCtx(g), reqs[g.leader], g.key)
 				if err != nil {
 					for _, i := range g.indices {
 						errs[i] = err
@@ -606,7 +671,7 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 					}
 					// Duplicates get their own copy, finished against their
 					// own Load, and are marked as served without a solve.
-					results[i] = finish(res.clone(), prepared[i], true)
+					results[i] = finish(res.clone(), reqs[i], true)
 				}
 			}
 		}()
@@ -621,6 +686,18 @@ func (s *Solver) solveBatchTraced(ctx context.Context, reqs []Request, traces []
 	wg.Wait()
 
 	return results, errs, len(order)
+}
+
+// solveLeader answers one deduplicated batch problem. Its requests were
+// looked up (and counted) already, so the cache is consulted again only
+// uncounted, for an entry another batch wrote in the meantime.
+func (s *Solver) solveLeader(ctx context.Context, req Request, key string) (*Result, error) {
+	if s.cache != nil {
+		if res, ok := s.cache.get(key); ok {
+			return finish(res, req, true), nil
+		}
+	}
+	return s.solveMiss(ctx, req, key)
 }
 
 // chainScenario reports whether a prepared request is chain-shaped — its
@@ -690,7 +767,7 @@ func chainScenario(req Request) (send Order, lifo, ok bool) {
 // (cancelled, or a WithTimeout deadline that already expired) skips the
 // prepass entirely so every request uniformly reports ctx.Err() from the
 // pool path.
-func (s *Solver) chainPrepass(ctx context.Context, prepared []Request, order []*group, results []*Result, errs []error, groupCtx func(*group) context.Context) map[*group]bool {
+func (s *Solver) chainPrepass(ctx context.Context, prepared []Request, order []*group, results []*Result, groupCtx func(*group) context.Context) map[*group]bool {
 	if ctx.Err() != nil {
 		return nil
 	}
@@ -701,16 +778,13 @@ func (s *Solver) chainPrepass(ctx context.Context, prepared []Request, order []*
 	}
 	byKey := make(map[batchKey][]lane)
 	for _, g := range order {
-		if errs[g.leader] != nil {
-			continue
-		}
 		req := prepared[g.leader]
 		send, lifo, ok := chainScenario(req)
 		if !ok || len(send) == 0 {
 			continue
 		}
 		if s.cache != nil && s.cache.has(g.key) {
-			continue // the pool path serves (and counts) the cache hit
+			continue // the pool path serves the cached entry
 		}
 		key := batchKey{q: len(send), lifo: lifo, model: req.Model}
 		byKey[key] = append(byKey[key], lane{g: g, send: send, lifo: lifo})
@@ -741,7 +815,6 @@ func (s *Solver) chainPrepass(ctx context.Context, prepared []Request, order []*
 			req := prepared[ln.g.leader]
 			res := finish(&Result{Schedule: sched, Send: sched.SendOrder, Return: sched.ReturnOrder}, req, false)
 			if s.cache != nil {
-				s.misses.Add(1)
 				s.cache.put(ln.g.key, res)
 			}
 			s.countSolve(req.Strategy)

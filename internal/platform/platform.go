@@ -21,12 +21,11 @@
 package platform
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/numeric"
@@ -144,37 +143,73 @@ func (p *Platform) IsBus() bool {
 	return true
 }
 
+// FNV-1a 64-bit parameters (the ones hash/fnv uses).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds the 8 little-endian bytes of v into the FNV-1a state h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
 // HashFloats returns an FNV-1a hash over the exact float64 bit patterns of
 // the given slices, each prefixed with its length. It is the one place the
 // cost-hashing scheme lives: Fingerprint and the dls engine's cache keys
 // (which also hash affine cost slices) both build on it.
 func HashFloats(slices ...[]float64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := uint64(fnvOffset64)
 	for _, vs := range slices {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(vs)))
-		h.Write(buf[:])
+		h = fnvWord(h, uint64(len(vs)))
 		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
+			h = fnvWord(h, math.Float64bits(v))
 		}
 	}
-	return h.Sum64()
+	return h
+}
+
+// CostHash is the hash behind Fingerprint: HashFloats over the C, W and D
+// columns of the workers, streamed from the workers without copying the
+// columns out.
+func (p *Platform) CostHash() uint64 {
+	n := uint64(len(p.Workers))
+	h := fnvWord(fnvOffset64, n)
+	for i := range p.Workers {
+		h = fnvWord(h, math.Float64bits(p.Workers[i].C))
+	}
+	h = fnvWord(h, n)
+	for i := range p.Workers {
+		h = fnvWord(h, math.Float64bits(p.Workers[i].W))
+	}
+	h = fnvWord(h, n)
+	for i := range p.Workers {
+		h = fnvWord(h, math.Float64bits(p.Workers[i].D))
+	}
+	return h
 }
 
 // Fingerprint returns a stable identifier of the platform's cost structure:
 // a hash over every worker's (C, W, D) costs, prefixed with the worker
 // count. Worker names are excluded — they never influence scheduling
 // mathematics — so two platforms that differ only in labels share a
-// fingerprint. Used as a cache key component by the dls engine.
+// fingerprint.
 func (p *Platform) Fingerprint() string {
-	cs := make([]float64, len(p.Workers))
-	ws := make([]float64, len(p.Workers))
-	ds := make([]float64, len(p.Workers))
-	for i, w := range p.Workers {
-		cs[i], ws[i], ds[i] = w.C, w.W, w.D
+	const hexDigits = "0123456789abcdef"
+	var buf [32]byte
+	b := append(buf[:0], 'p')
+	b = strconv.AppendInt(b, int64(len(p.Workers)), 10)
+	b = append(b, '-')
+	h := p.CostHash()
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hexDigits[h>>uint(shift)&0xf])
 	}
-	return fmt.Sprintf("p%d-%016x", len(p.Workers), HashFloats(cs, ws, ds))
+	return string(b)
 }
 
 // Mirror returns the platform with forward and return costs swapped

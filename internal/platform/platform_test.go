@@ -369,6 +369,35 @@ func TestQuickByCSorted(t *testing.T) {
 	}
 }
 
+// TestFingerprintGolden pins the fingerprint strings (and the HashFloats
+// values under them) to the values the hash/fnv + Sprintf implementation
+// produced: cache keys built on them must not move.
+func TestFingerprintGolden(t *testing.T) {
+	var ws []Worker
+	for i := 0; i < 12; i++ {
+		ws = append(ws, Worker{C: float64(i+1) * 0.01, W: 1 / float64(i+2), D: float64(i) * 0.003})
+	}
+	for _, tc := range []struct {
+		p    *Platform
+		want string
+	}{
+		{New(Worker{Name: "x", C: 0.1, W: 0.5, D: 0.05}, Worker{Name: "y", C: 0.2, W: 0.3, D: 0.1}), "p2-1af94fbccb2fcc06"},
+		{New(), "p0-81d23fd7003c2305"},
+		{New(ws...), "p12-b24baeac79b3e33b"},
+	} {
+		if got := tc.p.Fingerprint(); got != tc.want {
+			t.Errorf("Fingerprint() = %s, want %s", got, tc.want)
+		}
+	}
+	if got := HashFloats([]float64{1, 2}, nil, []float64{0.5}); got != 0x03cec69fd578f776 {
+		t.Errorf("HashFloats = %016x, want 03cec69fd578f776", got)
+	}
+	big := New(ws...)
+	if allocs := testing.AllocsPerRun(100, func() { _ = big.Fingerprint() }); allocs > 1 {
+		t.Errorf("Fingerprint allocates %v times, want <= 1 (the string)", allocs)
+	}
+}
+
 // TestFingerprint: equal costs share a fingerprint (names ignored); any
 // cost change, reorder, or resize produces a distinct one.
 func TestFingerprint(t *testing.T) {

@@ -285,8 +285,9 @@ func (s *Server) now() time.Time {
 // rate: the requests in flushed, unanswered windows (the batcher's
 // QueueDepth) fill queueDepth/flushSize windows, and the batcher has
 // been flushing one window every flushInterval — so that many intervals
-// (plus one for the retry itself) is when capacity plausibly frees up. Before any flush is observed (cold start, or
-// batching disabled) it falls back to the configured constant.
+// (plus one for the retry itself) is when capacity plausibly frees up.
+// Before any flush is observed (cold start, or batching disabled) it
+// falls back to the configured constant.
 func (s *Server) retryAfter() time.Duration {
 	s.flushMu.Lock()
 	iv, size := s.flushInterval, s.flushSize
@@ -309,9 +310,14 @@ func (s *Server) retryAfter() time.Duration {
 func (s *Server) writeSolveError(w http.ResponseWriter, err error) {
 	status := s.solveStatus(err)
 	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.FormatFloat(s.retryAfter().Seconds(), 'f', 3, 64))
+		s.setRetryAfter(w)
 	}
 	writeError(w, status, "%s", err)
+}
+
+// setRetryAfter stamps the drain-rate Retry-After advisory on a 429.
+func (s *Server) setRetryAfter(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.FormatFloat(s.retryAfter().Seconds(), 'f', 3, 64))
 }
 
 // handleSolve answers POST /v1/solve.
@@ -417,7 +423,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if anyErr {
 		if allShed {
-			w.Header().Set("Retry-After", strconv.FormatFloat(s.cfg.RetryAfter.Seconds(), 'f', 3, 64))
+			s.setRetryAfter(w)
 			writeError(w, http.StatusTooManyRequests, "batch shed: admission queue full")
 			return
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/dls"
+	"repro/internal/sim"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -246,6 +247,70 @@ func TestServeSheds(t *testing.T) {
 	wg.Wait()
 	if len(sheds) == 0 {
 		t.Fatal("no request was shed with a wedged queue")
+	}
+}
+
+// TestServeBatchShedRetryAfter: a /v1/solve/batch call shed as a whole
+// carries the same drain-rate Retry-After as a shed /v1/solve, not the
+// cold-start constant. On a virtual clock, windows of one flush 100ms
+// apart, one wedged request fills the queue, and the estimate is
+// (QueueDepth 1 / flush size 1 + 1) × 100ms = 200ms.
+func TestServeBatchShedRetryAfter(t *testing.T) {
+	solver, err := dls.NewSolver(dls.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerServerBlockStrategy()
+	clk := sim.NewClock()
+	srv, ts := newTestServer(t, Config{
+		Solver: solver, Window: time.Millisecond, WindowSize: 1, QueueCap: 1, Workers: 1, Clock: clk,
+	})
+	rng := rand.New(rand.NewSource(4250))
+	platform := func() *dls.Platform { return dls.RandomSpeeds(rng, 4, dls.Heterogeneous).Platform(dls.DefaultApp(100)) }
+	for i := 0; i < 2; i++ {
+		if resp, body := postJSON(t, ts.URL+"/v1/solve", dls.Request{Platform: platform(), Strategy: dls.StrategyIncC}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warm-up solve %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		clk.Advance(100 * time.Millisecond)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	wedged := make(chan struct{})
+	go func() {
+		defer close(wedged)
+		data, _ := json.Marshal(dls.Request{Platform: platform(), Strategy: "server-test-block"})
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/solve", bytes.NewReader(data))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	defer func() {
+		cancel()
+		<-wedged
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.batcher.Stats().QueueDepth != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the wedged request never filled the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	const want = "0.200"
+	resp, body := postJSON(t, ts.URL+"/v1/solve/batch", BatchRequest{Requests: []dls.Request{
+		{Platform: platform(), Strategy: dls.StrategyIncC},
+		{Platform: platform(), Strategy: dls.StrategyIncW},
+	}}, nil)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("batch on a full queue: status %d, want 429: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("Retry-After"); got != want {
+		t.Errorf("batch 429 Retry-After = %q, want the drain-rate estimate %q", got, want)
+	}
+	resp, _ = postJSON(t, ts.URL+"/v1/solve", dls.Request{Platform: platform(), Strategy: dls.StrategyIncC}, nil)
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != want {
+		t.Errorf("solve on a full queue: status %d, Retry-After %q; want 429, %q",
+			resp.StatusCode, resp.Header.Get("Retry-After"), want)
 	}
 }
 

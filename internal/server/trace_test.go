@@ -193,6 +193,46 @@ func TestTraceBatchSlots(t *testing.T) {
 	}
 }
 
+// TestTraceCacheHit: a cache hit is answered at admission, so its trace
+// has exactly one depth-0 stage, cache_hit, and no window stages.
+func TestTraceCacheHit(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	p := dls.RandomSpeeds(rng, 4, dls.Heterogeneous).Platform(dls.DefaultApp(100))
+	req := dls.Request{Platform: p, Strategy: dls.StrategyIncC, Load: 500}
+	_, ts := newTestServer(t, Config{Window: 20 * time.Millisecond, WindowSize: 8, Trace: true})
+
+	for i := 0; i < 2; i++ {
+		if resp, body := postJSON(t, ts.URL+"/v1/solve", req, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	debug := getDebugRequests(t, ts.URL, "?route=/v1/solve")
+	if len(debug.Recent) != 2 {
+		t.Fatalf("recent traces = %d, want 2", len(debug.Recent))
+	}
+	var hit *obs.TraceData
+	for i := range debug.Recent {
+		if debug.Recent[i].Attr("cache") == "hit" {
+			hit = &debug.Recent[i]
+		}
+	}
+	if hit == nil {
+		t.Fatalf("no trace annotated cache=hit among %+v", debug.Recent)
+	}
+	var depth0 []string
+	for _, st := range hit.Stages {
+		if st.Depth == 0 {
+			depth0 = append(depth0, st.Name)
+		}
+	}
+	if len(depth0) != 1 || depth0[0] != "cache_hit" {
+		t.Errorf("hit trace depth-0 stages = %v, want [cache_hit]", depth0)
+	}
+	if got := hit.Attr("strategy"); got != dls.StrategyIncC {
+		t.Errorf("hit trace strategy = %q, want %q", got, dls.StrategyIncC)
+	}
+}
+
 // TestTraceDisabled: with Trace off there is no header, no endpoint, no
 // per-stage series.
 func TestTraceDisabled(t *testing.T) {
