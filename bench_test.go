@@ -16,7 +16,6 @@ import (
 	"repro/dls"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/eval/kern"
 	"repro/internal/experiments"
 	"repro/internal/platform"
 	"repro/internal/schedule"
@@ -308,10 +307,7 @@ func BenchmarkBestFIFOExhaustive8(b *testing.B) {
 // evaluator against per-scenario evaluation on the same 512 FIFO orders
 // of one compute-bound 11-worker platform (every lane certifies, so both
 // sides measure pure chain arithmetic; the batch runs the load and dual
-// recurrences 8 scenarios per lockstep step). One sub-benchmark per
-// available kernel variant (batch-purego, batch-unrolled, batch-avx2 where
-// the CPU offers it); all variants are bitwise identical, so the ratios
-// are pure kernel speed.
+// recurrences 8 scenarios per lockstep step).
 func BenchmarkBatchChainEval(b *testing.B) {
 	rng := rand.New(rand.NewSource(65))
 	p := dls.RandomSpeeds(rng, 11, dls.Heterogeneous).Platform(dls.DefaultApp(100)).ScaleComputation(20)
@@ -320,37 +316,29 @@ func BenchmarkBatchChainEval(b *testing.B) {
 	for i := range orders {
 		orders[i] = platform.Order(rng.Perm(p.P()))
 	}
-	def := kern.Variant()
-	defer kern.SetVariant(def)
-	for _, variant := range kern.Variants() {
-		b.Run("batch-"+variant, func(b *testing.B) {
-			if !kern.SetVariant(variant) {
-				b.Fatalf("variant %q unavailable", variant)
-			}
-			defer kern.SetVariant(def)
-			batch, err := eval.NewBatch(schedule.OnePort, false, p.P())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				batch.Reset()
-				for _, o := range orders {
-					if err := batch.Add(p, o); err != nil {
-						b.Fatal(err)
-					}
-				}
-				batch.Run()
-				for l := 0; l < batch.Len(); l++ {
-					if _, ok := batch.Throughput(l); !ok {
-						b.Fatal("lane failed to certify on a compute-bound platform")
-					}
+	b.Run("batch", func(b *testing.B) {
+		batch, err := eval.NewBatch(schedule.OnePort, false, p.P())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			batch.Reset()
+			for _, o := range orders {
+				if err := batch.Add(p, o); err != nil {
+					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(scenarios, "scenarios/op")
-		})
-	}
+			batch.Run()
+			for l := 0; l < batch.Len(); l++ {
+				if _, ok := batch.Throughput(l); !ok {
+					b.Fatal("lane failed to certify on a compute-bound platform")
+				}
+			}
+		}
+		b.ReportMetric(scenarios, "scenarios/op")
+	})
 	b.Run("scalar", func(b *testing.B) {
 		sess := eval.NewSession()
 		b.ReportAllocs()

@@ -62,7 +62,8 @@ func evalMode(arith Arith) (eval.Mode, error) {
 
 // ErrNoCommonZ is returned by OptimalFIFO when the platform has no common
 // return/forward ratio z = d_i/c_i, in which case Theorem 1 does not apply.
-var ErrNoCommonZ = errors.New("core: platform has no common ratio z = d/c; Theorem 1 does not apply (use BestFIFOExhaustive or SolveScenario)")
+// Its text names the dls strategies that still solve such a platform.
+var ErrNoCommonZ = errors.New("core: platform has no common ratio z = d/c; Theorem 1 does not apply (use the fifo-exhaustive or scenario strategy)")
 
 // ScenarioLP builds the linear program of Section 2.3 for a fixed
 // scenario. It delegates to the eval pipeline, the single place that

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/lp"
@@ -406,12 +405,6 @@ func TestLPStatusStringsCovered(t *testing.T) {
 	// Exercise lp statuses through core so the mapping stays stable.
 	if lp.Optimal.String() != "optimal" {
 		t.Error("unexpected lp status name")
-	}
-}
-
-func TestErrNoCommonZMessage(t *testing.T) {
-	if !strings.Contains(ErrNoCommonZ.Error(), "Theorem 1") {
-		t.Error("ErrNoCommonZ should point the user at alternatives")
 	}
 }
 

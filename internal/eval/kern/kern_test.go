@@ -29,53 +29,9 @@ func fillColumns(r *lcg, q int, cols ...[]float64) {
 
 func buf(q int) []float64 { return make([]float64, q*Width) }
 
-// forEachVariant runs fn once per available variant, restoring the default
-// dispatch afterwards.
-func forEachVariant(t *testing.T, fn func(t *testing.T, name string)) {
-	t.Helper()
-	def := Variant()
-	defer SetVariant(def)
-	for _, name := range Variants() {
-		if !SetVariant(name) {
-			t.Fatalf("SetVariant(%q) refused a listed variant", name)
-		}
-		fn(t, name)
-	}
-}
-
-func bitsEq(t *testing.T, variant, what string, got, want []float64) {
-	t.Helper()
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: %s[%d] = %x (%v), reference has %x (%v)",
-				variant, what, i, math.Float64bits(got[i]), got[i],
-				math.Float64bits(want[i]), want[i])
-		}
-	}
-}
-
-func TestVariantDispatch(t *testing.T) {
-	vs := Variants()
-	if len(vs) == 0 || vs[0] != Variant() {
-		t.Fatalf("default variant %q not first in %v", Variant(), vs)
-	}
-	if SetVariant("no-such-variant") {
-		t.Fatal("SetVariant accepted an unknown variant")
-	}
-	seen := map[string]bool{}
-	for _, v := range vs {
-		if seen[v] {
-			t.Fatalf("variant %q listed twice in %v", v, vs)
-		}
-		seen[v] = true
-	}
-	if !seen["purego"] {
-		t.Fatalf("reference variant missing from %v", vs)
-	}
-}
-
-// TestGoldenFIFOChain anchors the reference on a hand-computed vector and
-// then pins every variant to the reference bitwise on random columns.
+// TestGoldenFIFOChain anchors the FIFO load chain on a hand-computed
+// vector, then checks the position-major layout and lane independence on
+// power-of-two columns, where every product and sum is exact.
 func TestGoldenFIFOChain(t *testing.T) {
 	// Hand-checked q=2 vector: uniform lanes with wd[row0]=0.6 and
 	// invCW[row1]=0.5 give P1 = (1*0.6)*0.5 and the sums follow by one
@@ -89,153 +45,231 @@ func TestGoldenFIFOChain(t *testing.T) {
 		wd[l], invCW[Width+l] = 0.6, 0.5
 		c[Width+l], d[Width+l] = 0.2, 0.1
 	}
-	forEachVariant(t, func(t *testing.T, name string) {
+	FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
+	for l := 0; l < Width; l++ {
+		pk := p[0] * wd[l]
+		pk = float64(pk * invCW[Width+l])
+		expSp := 1 + pk
+		expSc := c[l] + float64(pk*c[Width+l])
+		expSd := d[l] + float64(pk*d[Width+l])
+		if p[l] != 1 || p[Width+l] != pk {
+			t.Fatalf("chain rows = %v, %v; want 1, %v", p[l], p[Width+l], pk)
+		}
+		if sp[l] != expSp || sc[l] != expSc || sd[l] != expSd {
+			t.Fatalf("sums = %v %v %v; want %v %v %v", sp[l], sc[l], sd[l], expSp, expSc, expSd)
+		}
+	}
+
+	// Lane l steps by r_l = wd·invCW = 2^(l%3 - l%2) at every row, with
+	// c = 1/4 and d = 1/2, so P_k = r_l^k and sp = Σ r_l^k, sc = sp/4,
+	// sd = sp/2 hold exactly.
+	for _, q := range []int{1, 2, 3, 5, 9} {
+		p, c, d, wd, invCW := buf(q), buf(q), buf(q), buf(q), buf(q)
+		for pos := 0; pos < q; pos++ {
+			for l := 0; l < Width; l++ {
+				i := pos*Width + l
+				c[i], d[i] = 0.25, 0.5
+				wd[i], invCW[i] = math.Ldexp(1, -(l%2)), math.Ldexp(1, l%3)
+			}
+		}
 		FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
 		for l := 0; l < Width; l++ {
-			pk := p[0] * wd[l]
-			pk = float64(pk * invCW[Width+l])
-			expSp := 1 + pk
-			expSc := c[l] + float64(pk*c[Width+l])
-			expSd := d[l] + float64(pk*d[Width+l])
-			if p[l] != 1 || p[Width+l] != pk {
-				t.Fatalf("%s: chain rows = %v, %v; want 1, %v", name, p[l], p[Width+l], pk)
+			e := l%3 - l%2
+			sum := 0.0
+			for pos := 0; pos < q; pos++ {
+				want := math.Ldexp(1, pos*e)
+				if got := p[pos*Width+l]; got != want {
+					t.Fatalf("q=%d lane %d: P[%d] = %v, want %v", q, l, pos, got, want)
+				}
+				sum += want
 			}
-			if sp[l] != expSp || sc[l] != expSc || sd[l] != expSd {
-				t.Fatalf("%s: sums = %v %v %v; want %v %v %v", name, sp[l], sc[l], sd[l], expSp, expSc, expSd)
+			if sp[l] != sum || sc[l] != sum/4 || sd[l] != sum/2 {
+				t.Fatalf("q=%d lane %d: sums = %v %v %v, want %v %v %v",
+					q, l, sp[l], sc[l], sd[l], sum, sum/4, sum/2)
 			}
 		}
-	})
-
-	for _, q := range []int{1, 2, 3, 5, 9} {
-		r := lcg(uint64(q) * 977)
-		p, c, d, wd, invCW := buf(q), buf(q), buf(q), buf(q), buf(q)
-		fillColumns(&r, q, c, d, wd, invCW)
-		refP, refSp, refSc, refSd := buf(q), buf(1), buf(1), buf(1)
-		refFIFOChain(q, refP, c, d, wd, invCW, refSp, refSc, refSd)
-		sp, sc, sd := buf(1), buf(1), buf(1)
-		forEachVariant(t, func(t *testing.T, name string) {
-			FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
-			bitsEq(t, name, "P", p, refP)
-			bitsEq(t, name, "sp", sp[:Width], refSp[:Width])
-			bitsEq(t, name, "sc", sc[:Width], refSc[:Width])
-			bitsEq(t, name, "sd", sd[:Width], refSd[:Width])
-		})
 	}
 }
 
+// TestGoldenFIFODual checks the forward dual chain
+//
+//	u_k = (1 - dc_k·Σ_{j<k} u_j)·invWD_k,  v_k = (-c_k - dc_k·Σ_{j<k} v_j)·invWD_k
+//
+// on a hand-computed q=3 vector with dc = invWD = 1/2, where every value
+// is a short dyadic fraction and so exact. Lane l has c = (l+1)/4; v is
+// linear in c, so lane l's v is (l+1) times lane 0's.
 func TestGoldenFIFODual(t *testing.T) {
-	for _, q := range []int{1, 2, 4, 7, 9} {
-		r := lcg(uint64(q)*31 + 7)
-		c, dc, invWD := buf(q), buf(q), buf(q)
-		fillColumns(&r, q, c, dc, invWD)
-		refU, refV, refPu, refPv := buf(q), buf(q), buf(1), buf(1)
-		refFIFODual(q, c, dc, invWD, refU, refV, refPu, refPv)
-		u, v, pu, pv := buf(q), buf(q), buf(1), buf(1)
-		forEachVariant(t, func(t *testing.T, name string) {
-			FIFODual(q, c, dc, invWD, u, v, pu, pv)
-			bitsEq(t, name, "u", u, refU)
-			bitsEq(t, name, "v", v, refV)
-			bitsEq(t, name, "pu", pu[:Width], refPu[:Width])
-			bitsEq(t, name, "pv", pv[:Width], refPv[:Width])
-		})
+	const q = 3
+	c, dc, invWD := buf(q), buf(q), buf(q)
+	for pos := 0; pos < q; pos++ {
+		for l := 0; l < Width; l++ {
+			i := pos*Width + l
+			c[i], dc[i], invWD[i] = 0.25*float64(l+1), 0.5, 0.5
+		}
+	}
+	wantU := [q]float64{0.5, 0.375, 0.28125}
+	wantV := [q]float64{-0.125, -0.09375, -0.0703125}
+	u, v, pu, pv := buf(q), buf(q), buf(1), buf(1)
+	FIFODual(q, c, dc, invWD, u, v, pu, pv)
+	for l := 0; l < Width; l++ {
+		k := float64(l + 1)
+		for pos := 0; pos < q; pos++ {
+			i := pos*Width + l
+			if u[i] != wantU[pos] || v[i] != k*wantV[pos] {
+				t.Fatalf("lane %d row %d: u, v = %v, %v; want %v, %v", l, pos, u[i], v[i], wantU[pos], k*wantV[pos])
+			}
+		}
+		if pu[l] != 1.15625 || pv[l] != k*-0.2890625 {
+			t.Fatalf("lane %d: sums = %v, %v; want 1.15625, %v", l, pu[l], pv[l], k*-0.2890625)
+		}
 	}
 }
 
+// TestGoldenFIFOLambdaOK pins the certificate scan's comparison: a lane
+// passes iff λ = u + t·v >= -tol at every row, the boundary -tol passes,
+// and a NaN or -Inf λ anywhere fails the lane.
 func TestGoldenFIFOLambdaOK(t *testing.T) {
 	const tol = 1e-10
-	for _, q := range []int{1, 3, 6, 9} {
-		r := lcg(uint64(q) * 1009)
-		u, v, tt := buf(q), buf(q), buf(1)
-		fillColumns(&r, q, u, v)
-		fillColumns(&r, 1, tt)
-		// Mix in negatives, exact-boundary values and NaN/Inf lanes so the
-		// comparison semantics (ordered, NaN fails) are pinned too.
-		for i := 0; i < q*Width; i += 3 {
-			u[i] = -u[i]
-		}
-		u[0] = -tol // boundary: passes >= -tol exactly
-		v[Width-1] = math.NaN()
-		if q > 1 {
-			u[Width+1] = math.Inf(-1)
-			v[Width+2] = math.Inf(1)
-		}
-		want := refFIFOLambdaOK(q, u, v, tt, tol)
-		forEachVariant(t, func(t *testing.T, name string) {
-			if got := FIFOLambdaOK(q, u, v, tt, tol); got != want {
-				t.Fatalf("%s: mask %08b, reference %08b", name, got, want)
-			}
-		})
+	const q = 2
+	u, v, tt := buf(q), buf(q), buf(1)
+	for i := range u {
+		u[i], v[i] = 1, 0.5
+	}
+	for l := range tt[:Width] {
+		tt[l] = 2
+	}
+	u[0], v[0] = -tol, 0                   // lane 0: λ = -tol at row 0, the boundary: passes
+	u[1], v[1] = -2*tol, 0                 // lane 1: just below the boundary: fails
+	v[2] = math.NaN()                      // lane 2: NaN λ: fails
+	u[Width+3] = math.Inf(-1)              // lane 3: -Inf λ at row 1 only: fails
+	v[Width+4] = math.Inf(1)               // lane 4: +Inf λ is >= -tol: passes
+	u[5], v[5] = math.Inf(1), math.Inf(-1) // lane 5: Inf - Inf is NaN: fails
+	v[Width+6] = -1                        // lane 6: λ = 1 + 2·(-1) = -1 at row 1: fails
+	// lane 7: λ = 2 at both rows: passes
+	const want = 0b1001_0001
+	if got := FIFOLambdaOK(q, u, v, tt, tol); got != want {
+		t.Fatalf("mask %08b, want %08b", got, want)
 	}
 }
 
+// TestGoldenLIFOChain checks the LIFO chain P_0 = invCWD_0,
+// P_k = P_{k-1}·w_{k-1}·invCWD_k on power-of-two columns: lane l has
+// w = 2^-(l%4) and invCWD = 1/2, so P_k = 2^(-1-k(1+l%4)) and the sum sp
+// are exact.
 func TestGoldenLIFOChain(t *testing.T) {
 	for _, q := range []int{1, 2, 5, 8, 9} {
-		r := lcg(uint64(q)*577 + 3)
-		p, w, invCWD := buf(q), buf(q), buf(q)
-		fillColumns(&r, q, w, invCWD)
-		refP, refSp := buf(q), buf(1)
-		refLIFOChain(q, refP, w, invCWD, refSp)
-		sp := buf(1)
-		forEachVariant(t, func(t *testing.T, name string) {
-			LIFOChain(q, p, w, invCWD, sp)
-			bitsEq(t, name, "P", p, refP)
-			bitsEq(t, name, "sp", sp[:Width], refSp[:Width])
-		})
-	}
-}
-
-func TestGoldenLIFODualOK(t *testing.T) {
-	const tol = 1e-10
-	for _, q := range []int{1, 2, 4, 9} {
-		r := lcg(uint64(q)*13 + 29)
-		g, invCWD := buf(q), buf(q)
-		fillColumns(&r, q, g, invCWD)
-		// Large g values drive some λ negative; poison one lane with NaN.
-		for i := Width; i < q*Width; i += 5 {
-			g[i] *= 40
-		}
-		g[(q-1)*Width+3] = math.NaN()
-		refPu := buf(1)
-		want := refLIFODualOK(q, g, invCWD, refPu, tol)
-		pu := buf(1)
-		forEachVariant(t, func(t *testing.T, name string) {
-			got := LIFODualOK(q, g, invCWD, pu, tol)
-			if got != want {
-				t.Fatalf("%s: mask %08b, reference %08b", name, got, want)
+		p, w, invCWD, sp := buf(q), buf(q), buf(q), buf(1)
+		for pos := 0; pos < q; pos++ {
+			for l := 0; l < Width; l++ {
+				w[pos*Width+l], invCWD[pos*Width+l] = math.Ldexp(1, -(l%4)), 0.5
 			}
-			bitsEq(t, name, "pu", pu[:Width], refPu[:Width])
-		})
+		}
+		LIFOChain(q, p, w, invCWD, sp)
+		for l := 0; l < Width; l++ {
+			sum := 0.0
+			for pos := 0; pos < q; pos++ {
+				want := math.Ldexp(1, -1-pos*(1+l%4))
+				if got := p[pos*Width+l]; got != want {
+					t.Fatalf("q=%d lane %d: P[%d] = %v, want %v", q, l, pos, got, want)
+				}
+				sum += want
+			}
+			if sp[l] != sum {
+				t.Fatalf("q=%d lane %d: sp = %v, want %v", q, l, sp[l], sum)
+			}
+		}
 	}
 }
 
-// TestGoldenExtremes pushes denormal and overflow magnitudes through the
-// chains: products that underflow to subnormals or overflow to +Inf must
-// round identically in every variant.
+// TestGoldenLIFODualOK checks the backward dual chain
+// λ_k = (1 - g_k·Σ_{j>k} λ_j)·invCWD_k on hand-computed q=2 lanes. With
+// g = invCWD = 1/2, λ_1 = 1/2 and λ_0 = 3/8. Raising g_0 to 4 makes
+// λ_0 = -invCWD_0, which lands on the -tol boundary (passes) or just past
+// it (fails); a NaN g fails its lane and poisons its sum.
+func TestGoldenLIFODualOK(t *testing.T) {
+	tol := 1e-10 // a variable, so the expected sums round as the kernel's do
+	const q = 2
+	g, invCWD, pu := buf(q), buf(q), buf(1)
+	for i := range g {
+		g[i], invCWD[i] = 0.5, 0.5
+	}
+	for l := range pu[:Width] {
+		pu[l] = 7 // LIFODualOK zeroes the suffix sums on entry
+	}
+	g[1], invCWD[1] = 4, tol   // lane 1: λ_0 = -tol: passes
+	g[2], invCWD[2] = 4, 2*tol // lane 2: λ_0 = -2·tol: fails
+	g[3] = 8                   // lane 3: λ_0 = (1 - 4)/2 = -1.5: fails
+	g[Width+4] = math.NaN()    // lane 4: row 1 is scanned first, NaN·0 = NaN: fails
+	g[5] = math.NaN()          // lane 5: NaN at row 0: fails
+	const want = 0b1100_0011
+	if got := LIFODualOK(q, g, invCWD, pu, tol); got != want {
+		t.Fatalf("mask %08b, want %08b", got, want)
+	}
+	wantPu := []float64{0.875, 0.5 - tol, 0.5 - 2*tol, -1, math.NaN(), math.NaN(), 0.875, 0.875}
+	for l, w := range wantPu {
+		if pu[l] != w && !(math.IsNaN(w) && math.IsNaN(pu[l])) {
+			t.Fatalf("lane %d: pu = %v, want %v", l, pu[l], w)
+		}
+	}
+}
+
+// TestGoldenExtremes pushes underflow and overflow magnitudes through the
+// FIFO chain. Lane l%3 == 0 multiplies by 1e-80 per row: P_4 ≈ 1e-320 is
+// subnormal (no flush to zero), P_5 underflows to 0, and every product
+// is far below half an ulp of the row-0 seeds, so the sums stay at them.
+// Lane l%3 == 1 multiplies by 1e80 per row: P_4 overflows to +Inf and so
+// do all three sums. Lane l%3 == 2 multiplies by 0.5·2 = 1: P ≡ 1, sp = q,
+// and sc, sd are the left-to-right sums of c and d.
 func TestGoldenExtremes(t *testing.T) {
-	q := 6
+	const q = 6
 	p, c, d, wd, invCW := buf(q), buf(q), buf(q), buf(q), buf(q)
 	r := lcg(99)
-	fillColumns(&r, q, c, d, wd, invCW)
-	for l := 0; l < Width; l++ {
-		for pos := 0; pos < q; pos++ {
-			switch l % 4 {
-			case 0: // drive P toward underflow
-				wd[pos*Width+l] = 1e-80
-			case 1: // drive P toward overflow
-				invCW[pos*Width+l] = 1e80
-			case 2: // exact powers of two keep products exact
-				wd[pos*Width+l], invCW[pos*Width+l] = 0.5, 2
+	fillColumns(&r, q, c, d)
+	for pos := 0; pos < q; pos++ {
+		for l := 0; l < Width; l++ {
+			i := pos*Width + l
+			switch l % 3 {
+			case 0:
+				wd[i], invCW[i] = 1e-80, 1
+			case 1:
+				wd[i], invCW[i] = 1, 1e80
+			case 2:
+				wd[i], invCW[i] = 0.5, 2
 			}
 		}
 	}
-	refP, refSp, refSc, refSd := buf(q), buf(1), buf(1), buf(1)
-	refFIFOChain(q, refP, c, d, wd, invCW, refSp, refSc, refSd)
 	sp, sc, sd := buf(1), buf(1), buf(1)
-	forEachVariant(t, func(t *testing.T, name string) {
-		FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
-		bitsEq(t, name, "P", p, refP)
-		bitsEq(t, name, "sp", sp[:Width], refSp[:Width])
-		bitsEq(t, name, "sc", sc[:Width], refSc[:Width])
-		bitsEq(t, name, "sd", sd[:Width], refSd[:Width])
-	})
+	FIFOChain(q, p, c, d, wd, invCW, sp, sc, sd)
+	inf := math.Inf(1)
+	for l := 0; l < Width; l++ {
+		at := func(pos int) float64 { return p[pos*Width+l] }
+		switch l % 3 {
+		case 0:
+			if p4 := at(4); !(p4 > 0 && p4 < 0x1p-1022) || at(5) != 0 {
+				t.Fatalf("lane %d: P4, P5 = %v, %v; want subnormal, 0", l, p4, at(5))
+			}
+			if sp[l] != 1 || sc[l] != c[l] || sd[l] != d[l] {
+				t.Fatalf("lane %d: sums = %v %v %v, want 1 %v %v", l, sp[l], sc[l], sd[l], c[l], d[l])
+			}
+		case 1:
+			if !(at(3) > 1e239 && at(3) < inf) || at(4) != inf || at(5) != inf {
+				t.Fatalf("lane %d: P3..P5 = %v %v %v, want ~1e240 +Inf +Inf", l, at(3), at(4), at(5))
+			}
+			if sp[l] != inf || sc[l] != inf || sd[l] != inf {
+				t.Fatalf("lane %d: sums = %v %v %v, want +Inf", l, sp[l], sc[l], sd[l])
+			}
+		case 2:
+			sumC, sumD := 0.0, 0.0
+			for pos := 0; pos < q; pos++ {
+				if at(pos) != 1 {
+					t.Fatalf("lane %d: P[%d] = %v, want 1", l, pos, at(pos))
+				}
+				sumC += c[pos*Width+l]
+				sumD += d[pos*Width+l]
+			}
+			if sp[l] != q || sc[l] != sumC || sd[l] != sumD {
+				t.Fatalf("lane %d: sums = %v %v %v, want %d %v %v", l, sp[l], sc[l], sd[l], q, sumC, sumD)
+			}
+		}
+	}
 }

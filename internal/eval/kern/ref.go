@@ -1,20 +1,13 @@
 package kern
 
-// The pure-Go reference kernels: the batch.go loops, run across all Width
-// lanes. Every product that feeds an addition or subtraction is wrapped in
-// an explicit float64 conversion — the Go spec lets the compiler contract
-// mul+add into a fused multiply-add even across statements (GOAMD64=v3
-// does), and only an explicit conversion forces the intermediate rounding
-// that keeps these loops bitwise identical to the assembly variants.
-
-var refImpl = &impl{
-	name:      "purego",
-	fifoChain: refFIFOChain,
-	fifoDual:  refFIFODual,
-	fifoOK:    refFIFOLambdaOK,
-	lifoChain: refLIFOChain,
-	lifoDual:  refLIFODualOK,
-}
+// The kernels, each run across all Width lanes. Every product that feeds
+// an addition or subtraction is wrapped in an explicit float64
+// conversion. The Go spec lets the compiler contract mul+add into a fused
+// multiply-add, even across statements (arm64 does by default), and
+// only an explicit conversion forces the intermediate rounding. The FIFO
+// chain rounds exactly as eval.Session.fifoTight does, so a batch lane's
+// loads are bit-identical to the scalar tight-vertex path and the chain
+// prepass of dls.SolveBatch answers exactly what Solve answers.
 
 func refFIFOChain(q int, p, c, d, wd, invCW, sp, sc, sd []float64) {
 	for l := 0; l < Width; l++ {
